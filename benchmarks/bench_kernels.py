@@ -4,20 +4,24 @@
 Two workloads:
   * raw kernel: batched slice-polynomial log-Mahler evaluations, the hot
     inner loop of multivariable quadrature;
-  * end to end: mahler_mv of a two-variable integer polynomial, which mixes
-    kernel calls with the adaptive panel logic.
+  * end to end: the Mahler measure of a two-variable integer polynomial,
+    which mixes kernel calls with the adaptive panel logic; the nodes it
+    charges to its budget are printed too.
 
 Usage: python benchmarks/bench_kernels.py [--nodes 20000] [--repeats 5]
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
 
-from l2alex import LaurentPoly, mahler_mv
+from l2alex import LaurentPoly
 from l2alex import kernels as kernel_mod
 from l2alex.kernels import backends
+from l2alex.mahler import log_mahler_mv
+from l2alex.quadrature import NodeBudget
 
 
 def bench_raw(fn, coefs, inner, phases, repeats):
@@ -34,12 +38,12 @@ def bench_end_to_end(name, fn, poly, tol, repeats):
     kernel_mod.batch_log_mahler = fn
     try:
         times = []
-        value = None
         for _ in range(repeats):
+            budget = NodeBudget()
             start = time.perf_counter()
-            value = mahler_mv(poly, tol)
+            log_measure, _ = log_mahler_mv(poly, tol, budget)
             times.append(time.perf_counter() - start)
-        return min(times), value
+        return min(times), math.exp(log_measure), budget.used
     finally:
         kernel_mod.batch_log_mahler = original
 
@@ -76,14 +80,15 @@ def main():
     if len(raw) == 2:
         print(f"  speedup: {raw['python'] / raw['compiled']:.1f}x")
 
-    print(f"end to end: mahler_mv(tol={args.tol:g}) of a 6-term "
+    print(f"end to end: log_mahler_mv(tol={args.tol:g}) of a 6-term "
           f"2-variable polynomial")
     e2e = {}
     for name in sorted(impls):
-        best, value = bench_end_to_end(name, impls[name], poly, args.tol,
-                                       args.repeats)
+        best, value, nodes = bench_end_to_end(name, impls[name], poly,
+                                              args.tol, args.repeats)
         e2e[name] = best
-        print(f"  {name:>8}: {best * 1e3:8.2f} ms  (measure {value:.9f})")
+        print(f"  {name:>8}: {best * 1e3:8.2f} ms  (measure {value:.9f}, "
+              f"{nodes} nodes)")
     if len(e2e) == 2:
         print(f"  speedup: {e2e['python'] / e2e['compiled']:.1f}x")
 

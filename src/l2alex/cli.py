@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -333,10 +334,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_values(argv):
+    """Join "--phi -1,1,0" into "--phi=-1,1,0".
+
+    argparse reads a value that starts with "-" and is not a plain number as
+    an option, so a separate negative coordinate list would be refused.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--phi" and re.match(r"-[\d.]", arg):
+            out[-1] = "--phi=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_values(argv))
     except SystemExit as exc:
         return _EXIT_INPUT if exc.code not in (0, None) else _EXIT_OK
     try:
@@ -347,8 +364,8 @@ def main(argv=None) -> int:
         return _EXIT_INPUT
     except QuadratureBudgetError as exc:
         print(f"error[quadrature-budget]: {exc} "
-              f"(best estimate {exc.best_estimate!r}, "
-              f"achieved {exc.achieved_tol!r})", file=sys.stderr)
+              f"(best estimate {exc.best_estimate:.12g}, "
+              f"achieved {exc.achieved_tol:.12g})", file=sys.stderr)
         return _EXIT_BUDGET
     except (ChiefPartTieError, DegenerateSliceError, ZeroMatrixError,
             ZeroPolynomialError) as exc:

@@ -11,7 +11,12 @@ Several variables reduce to nested one-variable problems: the variable of
 largest exponent spread is integrated exactly by Jensen on each slice (this
 absorbs the log singularities of log|p| on its zero set), and the remaining
 angles are integrated by adaptive Gauss-Legendre panels (see ``quadrature``).
-M(0) is 0 by convention.
+When every coefficient is real, p(conj z) = conj p(z), so the slice
+log-measure at outer angle -theta equals the one at theta and the outermost
+angle is integrated over half the circle. With three or more variables this
+holds at the outermost level by negating the inner angles too; the inner
+integrals see coefficients folded with complex phases and stay on the full
+circle. M(0) is 0 by convention.
 """
 
 from __future__ import annotations
@@ -308,9 +313,11 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
 
     The innermost (Jensen) variable is already separated out; outer angles
     are peeled one dimension at a time. Only the final dimension is batched
-    through the kernel; higher dimensions recurse.
+    through the kernel; higher dimensions recurse. Real coefficients make
+    the integrand even in the first outer angle (see the module docstring).
     """
     dims = outer_exps.shape[1]
+    even = not coefs.imag.any()
     if dims == 1:
         col = np.ascontiguousarray(outer_exps[:, 0])
 
@@ -324,7 +331,7 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
                     "at a quadrature node")
             return logm
 
-        return adaptive_circle_mean(f, tol, budget)[:2]
+        return adaptive_circle_mean(f, tol, budget, even=even)[:2]
 
     level_tol = tol / dims
     rest = np.ascontiguousarray(outer_exps[:, 1:])
@@ -342,5 +349,5 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
             out[i] = val
         return out
 
-    mean, achieved, _ = adaptive_circle_mean(f, level_tol, budget)
+    mean, achieved, _ = adaptive_circle_mean(f, level_tol, budget, even=even)
     return mean, achieved + achieved_inner

@@ -10,11 +10,21 @@ splits all panels whose estimate exceeds an equidistributed share of the
 target. Smooth panels converge at Gauss-Legendre speed; corner and
 singularity panels shrink geometrically around the bad point.
 
+Symmetry: a caller whose integrand is even, f(-t) = f(t), passes even=True
+and only [0, pi) is swept. This is the case for the slice log-measures of a
+polynomial with real coefficients: the slice at -t is the complex conjugate
+of the slice at t and has the same root moduli. The half sweep starts from
+the first 8 of the 16 full-circle panels, and both its error sum and its
+target are half the full-circle ones, so it refines exactly the panels of
+[0, pi) that the full sweep would, at half the nodes.
+
 Determinism: panels are refined and summed in left-endpoint order, so a given
 tolerance and budget always produce bit-identical results.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,32 +66,47 @@ def _gl_batch(f, lefts, widths):
     return half * (vals @ _WEIGHTS)
 
 
-def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None):
+def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
+                         even: bool = False):
     """Mean of f over [0, 2pi) to absolute tolerance ~tol.
 
     f maps a 1-D array of angles to a 1-D array of values and may be called
-    with large batches. Returns (mean, achieved_tol, n_evals). Raises
-    QuadratureBudgetError (carrying the best mean and achieved error) if the
-    node budget runs out first.
+    with large batches. With even=True, f must satisfy f(-t) = f(t), and only
+    [0, pi) is integrated. Returns (mean, achieved_tol, n_evals). Raises
+    QuadratureBudgetError if the node budget runs out first, also when it
+    runs out inside f (a nested integral); the error carries this level's
+    mean and achieved error from its last completed sweep, or nan and inf
+    before the first sweep completes.
     """
     if budget is None:
         budget = NodeBudget()
-    tol_total = max(float(tol), 1e-15) * TWO_PI
+    span = np.pi if even else TWO_PI
+    n_init = _INITIAL_PANELS // 2 if even else _INITIAL_PANELS
+    tol_total = max(float(tol), 1e-15) * span
+    value, err_sum = math.nan, math.inf    # until the first sweep completes
 
-    lefts = TWO_PI * np.arange(_INITIAL_PANELS) / _INITIAL_PANELS
-    widths = np.full(_INITIAL_PANELS, TWO_PI / _INITIAL_PANELS)
+    def gl_batch(lefts, widths):
+        try:
+            return _gl_batch(f, lefts, widths)
+        except QuadratureBudgetError as exc:
+            raise QuadratureBudgetError(str(exc), value / span,
+                                        err_sum / span) from None
+
+    lefts = span * np.arange(n_init) / n_init
+    widths = np.full(n_init, span / n_init)
     start_used = budget.used
-    if not budget.charge(3 * _INITIAL_PANELS * GL_ORDER):
-        raise QuadratureBudgetError("node budget too small to start",
-                                    float("nan"), float("inf"))
-    coarse = _gl_batch(f, lefts, widths)
-    half_l = _gl_batch(f, lefts, widths / 2)
-    half_r = _gl_batch(f, lefts + widths / 2, widths / 2)
+    exhausted = (f"quadrature node budget exhausted "
+                 f"({budget.limit} evaluations)")
+    if not budget.charge(3 * n_init * GL_ORDER):
+        raise QuadratureBudgetError(exhausted, value, err_sum)
+    coarse = gl_batch(lefts, widths)
+    half_l = gl_batch(lefts, widths / 2)
+    half_r = gl_batch(lefts + widths / 2, widths / 2)
 
     # panel record: (left, width, I_left_half, I_right_half, err)
     panels = [(lefts[i], widths[i], half_l[i], half_r[i],
                abs(coarse[i] - half_l[i] - half_r[i]))
-              for i in range(_INITIAL_PANELS)]
+              for i in range(n_init)]
 
     def totals():
         ordered = sorted(panels, key=lambda rec: rec[0])
@@ -95,7 +120,7 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None):
     while True:
         value, err_sum = totals()
         if err_sum <= tol_total:
-            return value / TWO_PI, err_sum / TWO_PI, budget.used - start_used
+            return value / span, err_sum / span, budget.used - start_used
 
         threshold = tol_total / max(len(panels), 1)
         split = [rec for rec in panels
@@ -105,15 +130,14 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None):
             if worst[1] <= _MIN_WIDTH:
                 raise QuadratureBudgetError(
                     "panels at minimum width before reaching tolerance",
-                    value / TWO_PI, err_sum / TWO_PI)
+                    value / span, err_sum / span)
             split = [worst]
         split.sort(key=lambda rec: rec[0])
 
         cost = 4 * len(split) * GL_ORDER
         if not budget.charge(cost):
-            raise QuadratureBudgetError(
-                f"quadrature node budget exhausted ({budget.limit} evaluations)",
-                value / TWO_PI, err_sum / TWO_PI)
+            raise QuadratureBudgetError(exhausted, value / span,
+                                        err_sum / span)
 
         split_ids = {id(rec) for rec in split}
         keep = [rec for rec in panels if id(rec) not in split_ids]
@@ -124,7 +148,7 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None):
             q = h / 4
             q_lefts[4 * k:4 * k + 4] = (a, a + q, a + 2 * q, a + 3 * q)
             q_widths[4 * k:4 * k + 4] = q
-        quarters = _gl_batch(f, q_lefts, q_widths)
+        quarters = gl_batch(q_lefts, q_widths)
         for k, rec in enumerate(split):
             a, h, il, ir, _ = rec
             q0, q1, q2, q3 = quarters[4 * k:4 * k + 4]
@@ -140,4 +164,6 @@ def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
         return [float(lo)]
     ratio = hi / lo
+    if not math.isfinite(ratio):
+        raise ValueError(f"hi/lo = {ratio} is not a finite float")
     return [lo * ratio ** (k / (n - 1)) for k in range(n)]

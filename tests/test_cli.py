@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -172,6 +173,14 @@ class TestCommands:
         assert obj["leading"] == pytest.approx(1.113700939580, rel=1e-9)
         assert obj["deg_b"] == 2
 
+    def test_scenario_negative_phi_as_separate_value(self, capsys):
+        code, out, _ = run_cli(
+            ["scenario", "section9", "--phi", "-1,1,0"], capsys)
+        assert code == 0
+        _, joined, _ = run_cli(
+            ["scenario", "section9", "--phi=-1,1,0"], capsys)
+        assert out == joined
+
     def test_scenario_sweep(self, capsys):
         code, out, _ = run_cli(
             ["scenario", "section9", "--sweep", "6"], capsys)
@@ -206,6 +215,16 @@ class TestExitCodes:
              "--max-evals", "600"], capsys)
         assert code == 2
         assert "quadrature-budget" in err
+        assert re.search(r"best estimate \S+, achieved \S+\)$", err.strip())
+        assert "np.float64" not in err
+
+    def test_overflowing_grid_is_input_error(self, quadratic_file, capsys):
+        code, out, err = run_cli(
+            ["eval", "--input", quadratic_file,
+             "--t-grid", "1e-300:1e300:3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "error[bad-grid]" in err
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

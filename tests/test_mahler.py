@@ -6,12 +6,19 @@ from l2alex import (LaurentPoly, QuadratureBudgetError, ZeroPolynomialError,
                     mahler_1v, mahler_mv, mahler_mv_report, monomial_profile,
                     profile_value, roots, scaled_mahler_1v)
 from l2alex import kernels as kernel_mod
+from l2alex import mahler as mahler_mod
+from l2alex.mahler import log_mahler_mv
+from l2alex.quadrature import NodeBudget, adaptive_circle_mean
 
 from conftest import random_int_poly
 from oracles import quad_mahler_1v, trapezoid_mahler_2v
 
 GOLDEN_PLUS = 2.618033988749895    # (3 + sqrt 5) / 2
 GOLDEN_MINUS = 0.3819660112501051  # (3 - sqrt 5) / 2
+
+# Smyth: m(1 + x + y + z) = 7 zeta(3) / (2 pi^2)
+SMYTH_3V = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+SMYTH_3V_LOG = 7 * 1.2020569031595942 / (2 * math.pi ** 2)
 
 LEHMER = LaurentPoly(1, {(10,): 1, (9,): 1, (7,): -1, (6,): -1, (5,): -1,
                          (4,): -1, (3,): -1, (1,): 1, (0,): 1})
@@ -235,6 +242,47 @@ class TestMahlerMV:
             mahler_mv(p, 1e-13, max_evals=600)
         assert info.value.best_estimate == pytest.approx(1.38135644, rel=1e-3)
         assert info.value.achieved_tol > 0
+
+    def test_complex_coefficients_take_full_circle(self):
+        # 1 + x + i y is 1 + x + y rotated by pi/2 in y, so it has the same
+        # measure, but its integrand over y (the outer angle; x is the Jensen
+        # variable) is not even
+        p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1j})
+        rep = mahler_mv_report(p, 1e-8)
+        assert abs(rep.log_measure - math.log(1.3813564445)) <= \
+            rep.achieved_tol + 1e-10
+
+    def test_real_coefficients_take_half_the_nodes(self, monkeypatch):
+        p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+        half_budget = NodeBudget()
+        half = log_mahler_mv(p, 1e-8, half_budget)
+
+        def full_circle(f, tol, budget, even=False):
+            return adaptive_circle_mean(f, tol, budget)
+
+        monkeypatch.setattr(mahler_mod, "adaptive_circle_mean", full_circle)
+        full_budget = NodeBudget()
+        full = log_mahler_mv(p, 1e-8, full_budget)
+        assert 2 * half_budget.used == full_budget.used == 768
+        assert half[0] == pytest.approx(full[0], abs=1e-14)
+
+    def test_smyth_three_variables_within_default_budget(self):
+        rep = mahler_mv_report(P(3, SMYTH_3V))
+        assert abs(rep.log_measure - SMYTH_3V_LOG) <= rep.achieved_tol
+        assert rep.achieved_tol <= 1e-8
+
+    def test_nested_budget_error_reports_overall_estimate(self):
+        # nan until the outermost integral completes its first sweep
+        finite = 0
+        for max_evals in (1000, 100_003, 300_001, 700_001):
+            with pytest.raises(QuadratureBudgetError) as info:
+                mahler_mv(P(3, SMYTH_3V), max_evals=max_evals)
+            best = info.value.best_estimate
+            if not math.isnan(best):
+                finite += 1
+                assert abs(math.log(best) - SMYTH_3V_LOG) <= \
+                    info.value.achieved_tol + 1e-6
+        assert finite >= 2
 
     def test_zero_slice_raises(self, monkeypatch):
         import numpy as np

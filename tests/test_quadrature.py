@@ -48,6 +48,48 @@ class TestAdaptiveCircleMean:
         assert math.isfinite(info.value.best_estimate)
         assert info.value.achieved_tol > 0
 
+    @pytest.mark.parametrize("f", [
+        lambda t: np.cos(t) ** 2,
+        lambda t: np.log(np.abs(np.exp(1j * t) - 0.996)),
+    ])
+    def test_even_half_circle(self, f):
+        full_budget, half_budget = NodeBudget(), NodeBudget()
+        full = adaptive_circle_mean(f, 1e-11, full_budget)
+        half = adaptive_circle_mean(f, 1e-11, half_budget, even=True)
+        assert half[0] == pytest.approx(full[0], abs=1e-14)
+        assert half[1] == pytest.approx(full[1], rel=1e-6)
+        assert 2 * half_budget.used == full_budget.used
+        assert 2 * half[2] == full[2]
+
+    def test_nested_budget_error_reports_outer_estimate(self):
+        # the mean of 2 + (mean of cos^2) + |sin(s - 0.3)| is 2.5 + 2/pi;
+        # the inner integrals run out partway through the outer refinement
+        # (the whole integral takes 443,520 nodes)
+        budget = NodeBudget(250_000)
+
+        def outer(s):
+            return np.array([2.0 + adaptive_circle_mean(
+                lambda t: np.cos(t) ** 2, 1e-12, budget)[0]
+                + np.abs(np.sin(x - 0.3)) for x in s])
+
+        with pytest.raises(QuadratureBudgetError) as info:
+            adaptive_circle_mean(outer, 1e-12, budget)
+        reference = 2.5 + 2.0 / np.pi
+        assert info.value.best_estimate == pytest.approx(
+            reference, abs=info.value.achieved_tol + 1e-9)
+
+    def test_nested_budget_error_before_first_sweep(self):
+        budget = NodeBudget(1000)
+
+        def outer(s):
+            return np.array([adaptive_circle_mean(np.cos, 1e-12, budget)[0]
+                             for _ in s])
+
+        with pytest.raises(QuadratureBudgetError) as info:
+            adaptive_circle_mean(outer, 1e-12, budget)
+        assert math.isnan(info.value.best_estimate)
+        assert info.value.achieved_tol == math.inf
+
     def test_deterministic(self):
         def f(t):
             return np.log(np.abs(np.exp(1j * t) - 0.996))
@@ -77,3 +119,5 @@ class TestGeometricGrid:
             geometric_grid(-1.0, 2.0, 5)
         with pytest.raises(ValueError):
             geometric_grid(2.0, 1.0, 5)
+        with pytest.raises(ValueError):
+            geometric_grid(1e-300, 1e300, 3)   # hi/lo overflows
