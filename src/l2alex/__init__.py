@@ -17,8 +17,7 @@ from .errors import (ChiefPartTieError, DegenerateSliceError, InputError,
                      L2AlexError, QuadratureBudgetError, VariableCountMismatch,
                      ZeroMatrixError, ZeroPolynomialError)
 from .kernels import KERNEL_BACKEND
-from .laurent import (LaurentMatrix, LaurentPoly, matrix_adjoint,
-                      matrix_determinant, poly_involution, poly_mul)
+from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (MahlerResult, MonomialPiece, RootData, mahler_1v,
                      mahler_mv, mahler_mv_report, monomial_profile,
                      profile_value, roots, scaled_mahler_1v)
@@ -48,8 +47,7 @@ __all__ = [
     "det_function", "evaluate", "exponent_bound", "fibered_torsion",
     "geometric_grid", "glue", "graph_torsion", "hexagon_norm_check",
     "index_rescale", "lipschitz_degree_check", "mahler_1v", "mahler_mv",
-    "mahler_mv_report", "matrix_adjoint", "matrix_determinant",
-    "monomial_profile", "poly_involution", "poly_mul", "powint",
+    "mahler_mv_report", "monomial_profile", "powint",
     "profile_value", "roots", "scaled_mahler_1v", "symmetry_check",
     "torsion_degree", "torsion_from_presentation", "triple_figure_eight",
     "triple_figure_eight_torsion", "twist_matrix", "twist_poly",

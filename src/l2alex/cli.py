@@ -6,7 +6,10 @@ floats are rendered with a fixed %.12g format and reductions run in a fixed
 order, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie or
-degeneracy error.
+degeneracy error. Errors print one line "error[kind]: message" to stderr.
+``eval`` and ``torsion`` print no row when a value on the grid exceeds the
+double range: they answer error[overflow], naming the first such t, and
+exit 1.
 
 ``L2ALEX_THREADS`` caps the number of worker threads used for grid sweeps
 (0 or unset = auto).
@@ -187,6 +190,16 @@ def _map_grid(fn, grid):
         return list(pool.map(fn, grid))
 
 
+def _write_csv(out, grid, values):
+    for t, v in zip(grid, values):
+        if not math.isfinite(v):
+            raise InputError("overflow",
+                             "the value at t=%.12g exceeds the double range" % t)
+    out.write("t,value\n")
+    for t, v in zip(grid, values):
+        out.write("%.12g,%.12g\n" % (t, v))
+
+
 def _cmd_mahler(args, out):
     doc = _read_input(args.input)
     poly = doc.matrix.determinant()
@@ -200,10 +213,7 @@ def _cmd_eval(args, out):
     doc = _read_input(args.input)
     grid = _parse_grid(args.t_grid)
     fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
-    values = _map_grid(lambda t: fn.eval(t, args.tol), grid)
-    out.write("t,value\n")
-    for t, v in zip(grid, values):
-        out.write("%.12g,%.12g\n" % (t, v))
+    _write_csv(out, grid, _map_grid(lambda t: fn.eval(t, args.tol), grid))
 
 
 def _cmd_degree(args, out):
@@ -239,10 +249,7 @@ def _cmd_torsion(args, out):
     grid = _parse_grid(args.t_grid)
     spec = TorsionSpec(doc.matrix, doc.cohom, doc.pairs, doc.index_divisor)
     tau = torsion_from_presentation(spec)
-    values = _map_grid(lambda t: tau.value(t, args.tol), grid)
-    out.write("t,value\n")
-    for t, v in zip(grid, values):
-        out.write("%.12g,%.12g\n" % (t, v))
+    _write_csv(out, grid, _map_grid(lambda t: tau.value(t, args.tol), grid))
 
 
 def _scenario_row(phi) -> dict:

@@ -15,6 +15,21 @@ Conventions:
     float path (numerical determinants shed dust terms);
   * the involution maps sum a_v z^v to sum conj(a_v) z^{-v}; the matrix
     adjoint is the transpose with entrywise involution.
+
+Determinants of integer-certified matrices are exact (Kronecker
+substitution; von zur Gathen & Gerhard, Modern Computer Algebra):
+after shifting each row by its minimum exponent vector, the determinant's
+exponent in z_j lies in [0, w_j) with w_j = 1 + sum over rows of the row's
+spread in z_j, so z_j -> x^(s_j) with s_1 = 1, s_{j+1} = s_j w_j sends its
+monomials to distinct powers of x. At x = 2^b with 2^(b-1) > H, where
+H = prod_i sum_k ||A_ik||_1 bounds every coefficient of the determinant,
+the matrix becomes one of Python ints; a fraction-free (Bareiss 1968)
+elimination with exact integer division gives the determinant at 2^b, and
+its balanced base-2^b digits are the coefficients. Coefficients beyond 2^53
+are stored as the nearest doubles and lose certification. Other matrices
+(complex or non-integer coefficients) take cofactor expansion up to 4x4 and
+Bareiss elimination over the ring beyond, in complex doubles, dividing by
+each previous pivot with ``divide_exact``.
 """
 
 from __future__ import annotations
@@ -211,16 +226,6 @@ class LaurentPoly:
         return cls(nvars, terms)
 
 
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Product in C[z^{±1}]; certified integer iff both factors are."""
-    return a * b
-
-
-def poly_involution(a: LaurentPoly) -> LaurentPoly:
-    """The *-involution: conjugate coefficients, invert monomials."""
-    return a.involution()
-
-
 class LaurentMatrix:
     """Square matrix of Laurent polynomials sharing one variable count."""
 
@@ -303,14 +308,27 @@ class LaurentMatrix:
         return out
 
     def determinant(self) -> LaurentPoly:
-        """Exact symbolic determinant over the Laurent polynomial ring.
+        """Symbolic determinant over the Laurent polynomial ring.
 
-        Cofactor expansion up to 4x4; fraction-free (Bareiss) elimination
-        beyond that, where every division by the previous pivot is exact in
-        the ring. A 0x0 matrix has determinant 1.
+        Integer-certified matrices take one exact integer determinant by
+        Kronecker substitution: each row is shifted by its minimum exponent
+        vector, the variables are packed into one by mixed-radix strides
+        that keep the determinant's exponents apart, and the matrix is
+        evaluated at x = 2^b with 2^(b-1) > H = prod_i sum_k ||A_ik||_1,
+        which bounds every coefficient of the determinant. Fraction-free
+        (Bareiss) elimination on Python ints gives the determinant at 2^b,
+        and its balanced base-2^b digits are the coefficients. They are
+        exact; any beyond 2^53 come back uncertified, as floats.
+
+        Other matrices use cofactor expansion up to 4x4 and Bareiss
+        elimination over the ring beyond that, dividing by the previous
+        pivot with ``divide_exact`` in complex doubles. A 0x0 matrix has
+        determinant 1.
         """
         if self.size == 0:
             return LaurentPoly.one(self.nvars)
+        if self.integer_certified:
+            return _det_kronecker(self.rows, self.nvars)
         if self.size <= 4:
             return _det_cofactor(self.rows, self.nvars)
         return _det_bareiss(self.rows, self.nvars)
@@ -322,14 +340,6 @@ class LaurentMatrix:
     def from_obj(cls, nvars: int, obj: list) -> "LaurentMatrix":
         rows = [[LaurentPoly.from_obj(nvars, cell) for cell in row] for row in obj]
         return cls(rows, nvars=nvars) if rows else cls([], nvars=nvars)
-
-
-def matrix_adjoint(a: LaurentMatrix) -> LaurentMatrix:
-    return a.adjoint()
-
-
-def matrix_determinant(a: LaurentMatrix) -> LaurentPoly:
-    return a.determinant()
 
 
 def _det_cofactor(rows, nvars: int) -> LaurentPoly:
@@ -411,3 +421,63 @@ def _det_bareiss(rows, nvars: int) -> LaurentPoly:
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def _det_kronecker(rows, nvars: int) -> LaurentPoly:
+    """Exact determinant of an integer-certified matrix (see determinant)."""
+    n = len(rows)
+    lows, widths, height = [], [1] * nvars, 1
+    for row in rows:
+        exps = [e for p in row for e in p.terms]
+        if not exps:
+            return LaurentPoly.zero(nvars)
+        low = [min(e[j] for e in exps) for j in range(nvars)]
+        for j in range(nvars):
+            widths[j] += max(e[j] for e in exps) - low[j]
+        lows.append(low)
+        height *= sum(abs(int(c.real)) for p in row for c in p.terms.values())
+    strides = [1] * nvars
+    for j in range(1, nvars):
+        strides[j] = strides[j - 1] * widths[j - 1]
+    b = height.bit_length() + 1
+
+    def pack(p, low):
+        return sum(int(c.real) << b * sum(s * (x - y) for s, x, y
+                                          in zip(strides, e, low))
+                   for e, c in p.terms.items())
+
+    m = [[pack(p, low) for p in row] for row, low in zip(rows, lows)]
+    # every // divides a minor by the previous pivot exactly
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly.zero(nvars)
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
+        prev = pivot
+
+    value = sign * m[n - 1][n - 1]
+    # digit k is the coefficient of x^k, unpacked by the strides
+    offsets = [sum(low[j] for low in lows) for j in range(nvars)]
+    base, half = 1 << b, 1 << (b - 1)
+    terms, k = {}, 0
+    while value:
+        digit = value & (base - 1)
+        if digit >= half:
+            digit -= base
+        if digit:
+            terms[tuple(k // s % w + o for s, w, o
+                        in zip(strides, widths, offsets))] = digit
+        value = (value - digit) >> b
+        k += 1
+    return LaurentPoly(nvars, terms)

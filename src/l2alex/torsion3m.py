@@ -110,6 +110,7 @@ class PresentationTorsion(TorsionFunction):
         return self.numerator.is_zero
 
     def value(self, t: float, tol: float = 1e-8):
+        """tau(t), saturating to inf if it exceeds the double range."""
         if t <= 0:
             raise ValueError("t must be positive")
         if self.zero_function:
@@ -118,7 +119,10 @@ class PresentationTorsion(TorsionFunction):
         lt = math.log(t)
         for a, b in self.pairs:
             logv -= max(a * lt, b * lt)
-        return math.exp(logv / self.index_divisor)
+        try:
+            return math.exp(logv / self.index_divisor)
+        except OverflowError:
+            return math.inf
 
     def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:
         if self.zero_function:

@@ -25,6 +25,30 @@ SMYTH_DOC = json.dumps({
     "class": {"sigma": [1, 1]},
 })
 
+QUARTIC_DOC = json.dumps({
+    "variables": ["z"],
+    "matrix": [[[{"exp": [4], "re": 1, "im": 0},
+                 {"exp": [1], "re": -3, "im": 0},
+                 {"exp": [0], "re": 1, "im": 0}]]],
+    "class": {"sigma": [1]},
+})
+
+# A 5x5 integer matrix whose elimination over the ring in complex doubles
+# passes 2^53 and loses exactness.
+LARGE_PIVOTS_ROWS = [
+    [{1: -999}, {2: 11}, {1: 11}, {1: -7, 2: 3}, {0: -7}],
+    [{1: -7, 2: 3}, {2: -999}, {2: 11}, {2: 997}, {}],
+    [{}, {2: -7}, {0: 3, 2: 3}, {}, {}],
+    [{0: 3}, {0: 3}, {}, {0: 3}, {}],
+    [{0: 11, 2: -7}, {2: -7}, {}, {}, {0: 997}],
+]
+LARGE_PIVOTS_DOC = json.dumps({
+    "variables": ["z"],
+    "matrix": [[[{"exp": [e], "re": c, "im": 0} for e, c in cell.items()]
+                for cell in row] for row in LARGE_PIVOTS_ROWS],
+    "class": {"sigma": [1]},
+})
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -119,6 +143,15 @@ class TestCommands:
         assert obj["deg_b"] == 2
         assert obj["C_plus"] == 1 and obj["C_minus"] == 1
         assert obj["method"] == "exact-chief-part"
+
+    def test_degree_with_large_pivots(self, tmp_path, capsys):
+        path = tmp_path / "large_pivots.json"
+        path.write_text(LARGE_PIVOTS_DOC)
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert (obj["d_plus"], obj["d_minus"]) == (6, 2)
+        assert (obj["C_plus"], obj["C_minus"]) == (124823262, 943551)
 
     def test_mahler_quadratic(self, quadratic_file, capsys):
         code, out, _ = run_cli(["mahler", "--input", quadratic_file], capsys)
@@ -225,6 +258,18 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "error[bad-grid]" in err
+
+    @pytest.mark.parametrize("command", ["eval", "torsion"])
+    def test_overflowing_value_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "quartic.json"
+        path.write_text(QUARTIC_DOC)
+        code, out, err = run_cli(
+            [command, "--input", str(path),
+             "--t-grid", "1e-100:1e100:3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[overflow]:")
+        assert "t=1e+100" in err
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

@@ -1,11 +1,12 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2alex import (LaurentMatrix, LaurentPoly, VariableCountMismatch,
-                    matrix_adjoint, matrix_determinant, poly_involution,
-                    poly_mul)
+from l2alex import LaurentMatrix, LaurentPoly, VariableCountMismatch
+from l2alex import laurent
 from l2alex.laurent import divide_exact
 
 from conftest import random_int_matrix, random_int_poly
@@ -49,16 +50,16 @@ class TestPolyMul:
     def test_difference_of_squares(self):
         z = LaurentPoly.variable(1, 0)
         one = LaurentPoly.one(1)
-        assert poly_mul(z - one, z + one) == P(1, {(2,): 1, (0,): -1})
+        assert (z - one) * (z + one) == P(1, {(2,): 1, (0,): -1})
 
     def test_identity(self):
         p = P(1, {(2,): 3, (-1,): 4})
-        assert poly_mul(LaurentPoly.one(1), p) == p
+        assert LaurentPoly.one(1) * p == p
 
     def test_two_variable_identity(self):
         z1 = LaurentPoly.variable(2, 0)
         z2 = LaurentPoly.variable(2, 1)
-        assert poly_mul(z1 + z2, z1 - z2) == P(2, {(2, 0): 1, (0, 2): -1})
+        assert (z1 + z2) * (z1 - z2) == P(2, {(2, 0): 1, (0, 2): -1})
 
     @given(int_polys(2), int_polys(2))
     def test_commutative(self, a, b):
@@ -76,15 +77,15 @@ class TestPolyMul:
 
 class TestInvolution:
     def test_real_monomial(self):
-        assert poly_involution(P(1, {(1,): 2})) == P(1, {(-1,): 2})
+        assert P(1, {(1,): 2}).involution() == P(1, {(-1,): 2})
 
     def test_complex_monomial(self):
-        got = poly_involution(P(2, {(1, -1): 1j}))
+        got = P(2, {(1, -1): 1j}).involution()
         assert got == P(2, {(-1, 1): -1j})
 
     def test_involutive(self):
         p = P(1, {(2,): 1, (1,): -3, (0,): 1})
-        assert poly_involution(poly_involution(p)) == p
+        assert p.involution().involution() == p
 
     @given(int_polys(2))
     def test_involutive_random(self, p):
@@ -98,18 +99,18 @@ class TestInvolution:
 class TestAdjoint:
     def test_1x1(self):
         a = LaurentMatrix([[P(1, {(1,): 1})]])
-        assert matrix_adjoint(a) == LaurentMatrix([[P(1, {(-1,): 1})]])
+        assert a.adjoint() == LaurentMatrix([[P(1, {(-1,): 1})]])
 
     def test_2x2_transpose(self):
         z = P(1, {(1,): 1})
         zero, one = LaurentPoly.zero(1), LaurentPoly.one(1)
         a = LaurentMatrix([[zero, z], [one, zero]])
         expect = LaurentMatrix([[zero, one], [P(1, {(-1,): 1}), zero]])
-        assert matrix_adjoint(a) == expect
+        assert a.adjoint() == expect
 
     def test_involutive_random(self, rng):
         a = random_int_matrix(rng, 3, 1)
-        assert matrix_adjoint(matrix_adjoint(a)) == a
+        assert a.adjoint().adjoint() == a
 
 
 class TestDeterminant:
@@ -119,41 +120,100 @@ class TestDeterminant:
         z = P(2, {(0, 1): 1})
         one = LaurentPoly.one(2)
         a = LaurentMatrix([[one, -nu], [one, -z]])
-        assert matrix_determinant(a) == P(2, {(1, 0): 1, (0, 1): -1})
+        assert a.determinant() == P(2, {(1, 0): 1, (0, 1): -1})
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_identity(self, p):
-        assert matrix_determinant(LaurentMatrix.identity(p, 1)) == \
+        assert LaurentMatrix.identity(p, 1).determinant() == \
             LaurentPoly.one(1)
 
     def test_0x0_is_one(self):
-        assert matrix_determinant(LaurentMatrix([], nvars=1)) == \
+        assert LaurentMatrix([], nvars=1).determinant() == \
             LaurentPoly.one(1)
 
     def test_multiplicative(self, rng):
         for _ in range(10):
             a = random_int_matrix(rng, 2, 1, nonsingular=False)
             b = random_int_matrix(rng, 2, 1, nonsingular=False)
-            lhs = matrix_determinant(a * b)
-            rhs = matrix_determinant(a) * matrix_determinant(b)
+            lhs = (a * b).determinant()
+            rhs = a.determinant() * b.determinant()
             assert lhs == rhs
 
     def test_against_cofactor_oracle(self, rng):
-        for size in (2, 3, 5, 6):
-            a = random_int_matrix(rng, size, 1, nonsingular=False,
-                                  max_terms=2, max_exp=1, max_coef=2)
-            assert matrix_determinant(a) == cofactor_determinant(a.rows)
+        # max_coef <= 3 keeps the oracle's float products exact
+        for nvars, size in itertools.product((1, 2, 3), range(1, 7)):
+            a = random_int_matrix(rng, size, nvars, nonsingular=False,
+                                  max_terms=2, max_exp=1, max_coef=3)
+            assert a.determinant() == cofactor_determinant(a.rows)
+            rows = [list(r) for r in a.rows]
+            rows[rng.randrange(size)] = [LaurentPoly.zero(nvars)] * size
+            assert LaurentMatrix(rows).determinant().is_zero
+            if size > 1:
+                i, j = rng.sample(range(size), 2)
+                rows = [list(r) for r in a.rows]
+                rows[i] = rows[j]
+                assert LaurentMatrix(rows).determinant().is_zero
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("scale", [1, 0.5])
+    def test_zero_pivots_swap_rows(self, size, scale):
+        # anti-diagonal c z, c z^2, ...: pivots are zero until rows swap;
+        # c = 0.5 takes the elimination in complex doubles
+        zero = LaurentPoly.zero(1)
+        a = LaurentMatrix([[P(1, {(i + 1,): scale}) if i + j == size - 1
+                            else zero for j in range(size)]
+                           for i in range(size)])
+        sign = (-1) ** (size * (size - 1) // 2)
+        assert a.determinant() == \
+            P(1, {(size * (size + 1) // 2,): sign * scale ** size})
+
+    def test_large_intermediates_stay_exact(self):
+        # 99 I + z J: the ring elimination's intermediates pass 2^53
+        z = P(1, {(1,): 1})
+        diag = P(1, {(0,): 99})
+        a = LaurentMatrix([[diag + z if i == j else z for j in range(6)]
+                           for i in range(6)])
+        det = a.determinant()
+        assert det == P(1, {(0,): 99 ** 6, (1,): 6 * 99 ** 5})
+        assert det.terms[(0,)] == 941480149401
+        assert det.integer_certified
+
+    def test_coefficients_beyond_2_53_are_uncertified(self):
+        big = P(1, {(0,): 2 ** 27 + 1})
+        zero = LaurentPoly.zero(1)
+        det = LaurentMatrix([[big, zero], [zero, big]]).determinant()
+        assert det.terms == {(0,): complex((2 ** 27 + 1) ** 2)}
+        assert not det.integer_certified
+
+    def test_integer_matrix_divides_nothing(self, rng, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return divide_exact(a, b)
+
+        monkeypatch.setattr(laurent, "divide_exact", counted)
+        a = random_int_matrix(rng, 5, 1, nonsingular=True)
+        det = a.determinant()
+        assert calls == []
+        # the same matrix halved is not integer: ring elimination divides
+        half = LaurentMatrix([[p * 0.5 for p in r] for r in a.rows])
+        got = half.determinant()
+        assert calls
+        assert set(got.terms) == set(det.terms)
+        for e, c in det.terms.items():
+            assert got.terms[e] == pytest.approx(c / 32, rel=1e-12)
 
     def test_certification_preserved(self, rng):
         a = random_int_matrix(rng, 5, 1, nonsingular=False)
-        assert matrix_determinant(a).integer_certified
+        assert a.determinant().integer_certified
 
     def test_adjoint_compatibility(self, rng):
         # det(A*) = (det A)*
         for _ in range(5):
             a = random_int_matrix(rng, 3, 2, nonsingular=False)
-            assert matrix_determinant(matrix_adjoint(a)) == \
-                poly_involution(matrix_determinant(a))
+            assert a.adjoint().determinant() == \
+                a.determinant().involution()
 
     def test_block_triangular(self, rng):
         zero = LaurentPoly.zero(1)
@@ -164,15 +224,15 @@ class TestDeterminant:
             rows = [[b.entry(0, 0), b.entry(0, 1), c],
                     [b.entry(1, 0), b.entry(1, 1), random_int_poly(rng, 1)],
                     [zero, zero, d.entry(0, 0)]]
-            got = matrix_determinant(LaurentMatrix(rows))
-            assert got == matrix_determinant(b) * matrix_determinant(d)
+            got = LaurentMatrix(rows).determinant()
+            assert got == b.determinant() * d.determinant()
 
     def test_singular_large(self):
         # rank-1 5x5 matrix hits the elimination path with zero pivots
         z = P(1, {(1,): 1})
         row = [z, z, z, z, z]
         a = LaurentMatrix([row] * 5)
-        assert matrix_determinant(a).is_zero
+        assert a.determinant().is_zero
 
 
 class TestExactDivision:
