@@ -25,22 +25,32 @@ monomials to distinct powers of x. At x = 2^b with 2^(b-1) > H, where
 H = prod_i sum_k ||A_ik||_1 bounds every coefficient of the determinant,
 the matrix becomes one of Python ints; a fraction-free (Bareiss 1968)
 elimination with exact integer division gives the determinant at 2^b, and
-its balanced base-2^b digits are the coefficients. Coefficients beyond 2^53
-are stored as the nearest doubles and lose certification. Other matrices
-(complex or non-integer coefficients) take cofactor expansion up to 4x4 and
-Bareiss elimination over the ring beyond, in complex doubles, dividing by
-each previous pivot with ``divide_exact``.
+its balanced base-2^b digits are the coefficients (b is a whole number of
+bytes, so one ``to_bytes`` reads them all). Coefficients beyond 2^53 are
+stored as the nearest doubles and lose certification. The packed integers
+hold prod_j w_j digits however few terms the entries have, so a matrix
+whose box prod_j w_j exceeds 64 times the product of its rows' term counts
+(a bound on the determinant's term count), such as one entry z^100000,
+keeps the sparse path below. Other matrices (complex or non-integer
+coefficients) take cofactor expansion up to 4x4 and Bareiss elimination
+over the ring beyond, in complex doubles, dividing by each previous pivot
+with ``divide_exact``; on integer matrices that path is exact only while
+its products stay below 2^53.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping
 
 from .errors import VariableCountMismatch
 
 _FLOAT_PRUNE_REL = 1e-15
 _INT_EXACT_LIMIT = 2.0 ** 53
+# integer matrices whose packed exponent box exceeds this many times the
+# product of the rows' term counts are not packed (see _det_kronecker)
+_SPARSE_BOX_RATIO = 64
 
 
 def _is_exact_int(c: complex) -> bool:
@@ -123,6 +133,9 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def support(self) -> list[tuple]:
         return sorted(self.terms)
@@ -318,17 +331,23 @@ class LaurentMatrix:
         which bounds every coefficient of the determinant. Fraction-free
         (Bareiss) elimination on Python ints gives the determinant at 2^b,
         and its balanced base-2^b digits are the coefficients. They are
-        exact; any beyond 2^53 come back uncertified, as floats.
+        exact; any beyond 2^53 come back uncertified, as floats. Integer
+        matrices whose exponent box is more than 64 times the product of
+        the rows' term counts are not packed.
 
-        Other matrices use cofactor expansion up to 4x4 and Bareiss
-        elimination over the ring beyond that, dividing by the previous
-        pivot with ``divide_exact`` in complex doubles. A 0x0 matrix has
-        determinant 1.
+        Those and all other matrices use cofactor expansion up to 4x4 and
+        Bareiss elimination over the ring beyond that, dividing by the
+        previous pivot with ``divide_exact`` in complex doubles. A 0x0
+        matrix has determinant 1; a 1x1 matrix, its entry.
         """
         if self.size == 0:
             return LaurentPoly.one(self.nvars)
+        if self.size == 1:
+            return self.rows[0][0]
         if self.integer_certified:
-            return _det_kronecker(self.rows, self.nvars)
+            det = _det_kronecker(self.rows, self.nvars)
+            if det is not None:
+                return det
         if self.size <= 4:
             return _det_cofactor(self.rows, self.nvars)
         return _det_bareiss(self.rows, self.nvars)
@@ -398,35 +417,49 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     raise ArithmeticError("division did not terminate: not an exact quotient")
 
 
-def _det_bareiss(rows, nvars: int) -> LaurentPoly:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = LaurentPoly.one(nvars)
+def _bareiss(m, div, one):
+    """Fraction-free (Bareiss 1968) elimination of the rows ``m``, in place.
+
+    Works over any ring whose elements support +, -, * and truth testing:
+    each ``div(minor, previous pivot)`` is an exact division, and a zero
+    pivot swaps in a later row with a nonzero entry in its column.
+    """
+    n = len(m)
+    sign, prev = 1, one
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not m[r][k].is_zero:
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero(nvars)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
+                return m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = divide_exact(num, prev)
-            m[i][k] = LaurentPoly.zero(nvars)
+                row[j] = div(pivot * row[j] - lead * pivot_row[j], prev)
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
 
 
-def _det_kronecker(rows, nvars: int) -> LaurentPoly:
-    """Exact determinant of an integer-certified matrix (see determinant)."""
-    n = len(rows)
-    lows, widths, height = [], [1] * nvars, 1
+def _det_bareiss(rows, nvars: int) -> LaurentPoly:
+    return _bareiss([list(r) for r in rows], divide_exact,
+                    LaurentPoly.one(nvars))
+
+
+def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:
+    """Exact determinant of an integer-certified matrix (see determinant).
+
+    None when the packed box of exponents is more than _SPARSE_BOX_RATIO
+    times the product of the rows' term counts, which bounds the number of
+    terms of the determinant: the dense packing would then cost far more
+    than the sparse expansion.
+    """
+    lows, widths, height, nterms = [], [1] * nvars, 1, 1
     for row in rows:
         exps = [e for p in row for e in p.terms]
         if not exps:
@@ -436,48 +469,39 @@ def _det_kronecker(rows, nvars: int) -> LaurentPoly:
             widths[j] += max(e[j] for e in exps) - low[j]
         lows.append(low)
         height *= sum(abs(int(c.real)) for p in row for c in p.terms.values())
+        nterms *= len(exps)
+    box = math.prod(widths)
+    if box > _SPARSE_BOX_RATIO * nterms:
+        return None
     strides = [1] * nvars
     for j in range(1, nvars):
         strides[j] = strides[j - 1] * widths[j - 1]
-    b = height.bit_length() + 1
+    # whole bytes per digit, so the digits are read back by one to_bytes
+    nbytes = (height.bit_length() + 8) // 8
+    b = 8 * nbytes
 
     def pack(p, low):
         return sum(int(c.real) << b * sum(s * (x - y) for s, x, y
                                           in zip(strides, e, low))
                    for e, c in p.terms.items())
 
-    m = [[pack(p, low) for p in row] for row, low in zip(rows, lows)]
-    # every // divides a minor by the previous pivot exactly
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero(nvars)
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
-        prev = pivot
-
-    value = sign * m[n - 1][n - 1]
+    value = _bareiss([[pack(p, low) for p in row]
+                      for row, low in zip(rows, lows)],
+                     operator.floordiv, 1)
+    # every balanced digit d of value has |d| <= height < 2^(b-1) = half,
+    # so adding half to each digit leaves box digits in [0, 2^b), nbytes
+    # bytes each, and a digit equal to half is a zero coefficient
+    half = 1 << (b - 1)
+    half_digit = bytes(nbytes - 1) + b"\x80"
+    data = (value + int.from_bytes(half_digit * box, "little")).to_bytes(
+        nbytes * box, "little")
     # digit k is the coefficient of x^k, unpacked by the strides
     offsets = [sum(low[j] for low in lows) for j in range(nvars)]
-    base, half = 1 << b, 1 << (b - 1)
-    terms, k = {}, 0
-    while value:
-        digit = value & (base - 1)
-        if digit >= half:
-            digit -= base
-        if digit:
+    terms = {}
+    for k in range(box):
+        digit = data[k * nbytes:(k + 1) * nbytes]
+        if digit != half_digit:
             terms[tuple(k // s % w + o for s, w, o
-                        in zip(strides, widths, offsets))] = digit
-        value = (value - digit) >> b
-        k += 1
+                        in zip(strides, widths, offsets))] = \
+                int.from_bytes(digit, "little") - half
     return LaurentPoly(nvars, terms)

@@ -1,5 +1,6 @@
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -140,10 +141,19 @@ class TestDeterminant:
             assert lhs == rhs
 
     def test_against_cofactor_oracle(self, rng):
+        self._check_against_cofactor_oracle(rng, 1)
+
+    def test_float_path_against_cofactor_oracle(self, rng):
+        # halved entries stay exact dyadic doubles and take the float path
+        self._check_against_cofactor_oracle(rng, 0.5)
+
+    @staticmethod
+    def _check_against_cofactor_oracle(rng, scale):
         # max_coef <= 3 keeps the oracle's float products exact
         for nvars, size in itertools.product((1, 2, 3), range(1, 7)):
             a = random_int_matrix(rng, size, nvars, nonsingular=False,
                                   max_terms=2, max_exp=1, max_coef=3)
+            a = LaurentMatrix([[p * scale for p in r] for r in a.rows])
             assert a.determinant() == cofactor_determinant(a.rows)
             rows = [list(r) for r in a.rows]
             rows[rng.randrange(size)] = [LaurentPoly.zero(nvars)] * size
@@ -203,6 +213,20 @@ class TestDeterminant:
         assert set(got.terms) == set(det.terms)
         for e, c in det.terms.items():
             assert got.terms[e] == pytest.approx(c / 32, rel=1e-12)
+
+    def test_exponent_spread_does_not_inflate_cost(self):
+        # a dense packing would hold prod_j w_j ~ 1e9 to 1e11 digits here;
+        # the sparse expansion answers at once
+        x, y = P(3, {(1000, 0, 0): 1}), P(3, {(0, 1000, 0): 1})
+        z = P(3, {(0, 0, 1000): 1})
+        w = P(3, {(0, 0, 100000): 1})
+        one = LaurentPoly.one(3)
+        start = time.perf_counter()
+        assert LaurentMatrix([[x + y + z]]).determinant() == x + y + z
+        det = LaurentMatrix([[x + y, w], [one, one - w]]).determinant()
+        assert det == x + y - x * w - y * w - w
+        assert det.integer_certified
+        assert time.perf_counter() - start < 1.0
 
     def test_certification_preserved(self, rng):
         a = random_int_matrix(rng, 5, 1, nonsingular=False)
