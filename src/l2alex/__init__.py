@@ -6,13 +6,14 @@ cohomology classes and the determinant twist (``twist``), Mahler measures
 assembly for 3-manifold presentations and closed-form families
 (``torsion3m``), and a CLI (``cli``).
 
-The hot quadrature kernel is compiled (Cython) when available; a numpy
-fallback is selected automatically. ``kernels.KERNEL_BACKEND`` says which.
+The quadrature's slice kernel (``kernels``) is numpy: closed forms up to
+degree 2, batched companion-matrix eigenvalues above. ``KERNEL_BACKEND``
+names it.
 """
 
 from .degree import (AsymptoteReport, ConvexityReport, DetFunction,
                      LipschitzReport, asymptote, chief_part, convexity_check,
-                     det_function, evaluate, lipschitz_degree_check)
+                     det_function, lipschitz_degree_check)
 from .errors import (ChiefPartTieError, DegenerateSliceError, InputError,
                      L2AlexError, QuadratureBudgetError, VariableCountMismatch,
                      ZeroMatrixError, ZeroPolynomialError)
@@ -44,7 +45,7 @@ __all__ = [
     "RootData", "SymmetryReport", "TorsionFunction", "TorsionSpec",
     "UNSPECIFIED", "V3", "VariableCountMismatch", "ZeroMatrixError",
     "ZeroPolynomialError", "asymptote", "chief_part", "convexity_check",
-    "det_function", "evaluate", "exponent_bound", "fibered_torsion",
+    "det_function", "exponent_bound", "fibered_torsion",
     "geometric_grid", "glue", "graph_torsion", "hexagon_norm_check",
     "index_rescale", "lipschitz_degree_check", "mahler_1v", "mahler_mv",
     "mahler_mv_report", "monomial_profile", "powint",

@@ -7,12 +7,13 @@ order, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie or
 degeneracy error. Errors print one line "error[kind]: message" to stderr.
-``eval`` and ``torsion`` print no row when a value on the grid exceeds the
-double range: they answer error[overflow], naming the first such t, and
-exit 1.
-
-``L2ALEX_THREADS`` caps the number of worker threads used for grid sweeps
-(0 or unset = auto).
+A matrix entry with a non-integer exponent, a non-finite coefficient, or
+a coefficient too small beside the entry's largest one to be kept in
+double precision is refused at parse time as error[bad-matrix], naming
+the entry and the exponent. ``eval`` and ``torsion`` print no row when a value on the grid
+of a function that is not constantly zero exceeds the double range or
+falls below it: they answer error[overflow] or error[underflow], naming
+the first such t, and exit 1.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .degree import det_function, convexity_check
@@ -171,30 +170,14 @@ def _read_input(path: str) -> InputDocument:
     return parse_input(text)
 
 
-def _workers() -> int:
-    raw = os.environ.get("L2ALEX_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
-def _map_grid(fn, grid):
-    workers = _workers()
-    if workers == 1 or len(grid) < 4:
-        return [fn(t) for t in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, grid))
-
-
-def _write_csv(out, grid, values):
+def _write_csv(out, grid, values, zero_function):
     for t, v in zip(grid, values):
         if not math.isfinite(v):
             raise InputError("overflow",
                              "the value at t=%.12g exceeds the double range" % t)
+        if v == 0 and not zero_function:
+            raise InputError("underflow",
+                             "the value at t=%.12g is below the double range" % t)
     out.write("t,value\n")
     for t, v in zip(grid, values):
         out.write("%.12g,%.12g\n" % (t, v))
@@ -213,7 +196,7 @@ def _cmd_eval(args, out):
     doc = _read_input(args.input)
     grid = _parse_grid(args.t_grid)
     fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
-    _write_csv(out, grid, _map_grid(lambda t: fn.eval(t, args.tol), grid))
+    _write_csv(out, grid, [fn.eval(t, args.tol) for t in grid], fn.is_zero)
 
 
 def _cmd_degree(args, out):
@@ -249,7 +232,8 @@ def _cmd_torsion(args, out):
     grid = _parse_grid(args.t_grid)
     spec = TorsionSpec(doc.matrix, doc.cohom, doc.pairs, doc.index_divisor)
     tau = torsion_from_presentation(spec)
-    _write_csv(out, grid, _map_grid(lambda t: tau.value(t, args.tol), grid))
+    _write_csv(out, grid, [tau.value(t, args.tol) for t in grid],
+               tau.zero_function)
 
 
 def _scenario_row(phi) -> dict:

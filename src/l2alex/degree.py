@@ -203,10 +203,6 @@ def det_function(a: LaurentMatrix, c: CohomClass,
     return DetFunction(a.determinant(), c, index_divisor, bound)
 
 
-def evaluate(v: DetFunction, t: float, tol: float = 1e-8) -> float:
-    return v.eval(t, tol)
-
-
 def chief_part(p: LaurentPoly, c: CohomClass, end: str):
     """Extremal weight group of p under the integer weight map.
 

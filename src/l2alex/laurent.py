@@ -12,7 +12,8 @@ Conventions:
     law, and the canonical term order is lexicographic on exponent tuples;
   * no stored coefficient is zero: construction prunes exact zeros on the
     integer path and coefficients below 1e-15 x (max |coefficient|) on the
-    float path (numerical determinants shed dust terms);
+    float path (numerical determinants shed dust terms); ``from_obj``
+    refuses input that would lose a coefficient this way;
   * the involution maps sum a_v z^v to sum conj(a_v) z^{-v}; the matrix
     adjoint is the transpose with entrywise involution.
 
@@ -40,6 +41,7 @@ its products stay below 2^53.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from typing import Iterable, Mapping
@@ -231,12 +233,32 @@ class LaurentPoly:
 
     @classmethod
     def from_obj(cls, nvars: int, obj: list) -> "LaurentPoly":
+        """Inverse of ``to_obj``; input is kept exactly or refused.
+
+        An exponent that is not an integer, a coefficient that is not
+        finite, or one that construction would prune as negligible beside
+        the largest, raises ValueError naming its exponent.
+        """
         terms = {}
         for item in obj:
-            exp = tuple(int(e) for e in item["exp"])
+            raw = item["exp"]
+            if not all(isinstance(e, int) or (isinstance(e, float)
+                                              and e.is_integer()) for e in raw):
+                raise ValueError(f"exponent {raw} is not a list of integers")
+            exp = tuple(int(e) for e in raw)
             terms[exp] = terms.get(exp, 0j) + complex(float(item["re"]),
                                                       float(item.get("im", 0.0)))
-        return cls(nvars, terms)
+        for exp, c in terms.items():
+            if not cmath.isfinite(c):
+                raise ValueError(
+                    f"the coefficient of exponent {list(exp)} is not finite")
+        poly = cls(nvars, terms)
+        for exp, c in terms.items():
+            if c != 0 and exp not in poly.terms:
+                raise ValueError(
+                    f"the coefficient of exponent {list(exp)} is lost beside "
+                    "the entry's largest coefficient in double precision")
+        return poly
 
 
 class LaurentMatrix:
@@ -357,7 +379,14 @@ class LaurentMatrix:
 
     @classmethod
     def from_obj(cls, nvars: int, obj: list) -> "LaurentMatrix":
-        rows = [[LaurentPoly.from_obj(nvars, cell) for cell in row] for row in obj]
+        rows = []
+        for i, row in enumerate(obj):
+            rows.append([])
+            for j, cell in enumerate(row):
+                try:
+                    rows[-1].append(LaurentPoly.from_obj(nvars, cell))
+                except ValueError as exc:
+                    raise ValueError(f"entry [{i}][{j}]: {exc}") from None
         return cls(rows, nvars=nvars) if rows else cls([], nvars=nvars)
 
 

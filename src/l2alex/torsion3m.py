@@ -6,8 +6,7 @@ yields the torsion representative
     tau(t) = [ V(t) * prod_i max(t^{a_i}, t^{b_i})^{-1} ]^{1/index},
 
 where V is the determinant function of (A, sigma). tau is defined up to a
-monomial factor t^r; the optional symmetric normalization divides by
-t^{(d_plus + d_minus)/2}.
+monomial factor t^r.
 
 Closed forms cover the classical families: fibered classes are 1 below
 e^{-h} and t^x above e^{h} (h the monodromy entropy, x the Thurston norm),
@@ -60,19 +59,13 @@ UNSPECIFIED = _Unspecified()
 
 @dataclass(frozen=True)
 class TorsionSpec:
-    """Presentation data: matrix, class, max-pair values, index, label.
-
-    ``metadata`` may record extra presentation structure (e.g. a fibered
-    form "A0 + mu * diag-block" with its norm bookkeeping); no operation
-    consumes it.
-    """
+    """Presentation data: matrix, class, max-pair values, index, label."""
 
     matrix: LaurentMatrix
     cohom: CohomClass
     pairs: tuple = ()
     index_divisor: int = 1
     label: str = ""
-    metadata: dict | None = None
 
     def __post_init__(self):
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
@@ -134,16 +127,6 @@ class PresentationTorsion(TorsionFunction):
         return AsymptoteReport(d_plus / k, d_minus / k,
                                base.C_plus ** (1.0 / k),
                                base.C_minus ** (1.0 / k), base.method)
-
-    def symmetric_normalization_exponent(self, tol: float = 1e-8) -> float:
-        """r with tau(t) / t^r the representative symmetric under t -> 1/t."""
-        rep = self.degree_report(tol)
-        return 0.5 * (rep.d_plus + rep.d_minus)
-
-    def symmetric_value(self, t: float, tol: float = 1e-8) -> float:
-        """The symmetric representative: tau(t) / t^r (dotted equality)."""
-        r = self.symmetric_normalization_exponent(tol)
-        return self.value(t, tol) * t ** (-r)
 
 
 class FiberedTorsion(TorsionFunction):

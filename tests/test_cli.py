@@ -50,6 +50,12 @@ LARGE_PIVOTS_DOC = json.dumps({
 })
 
 
+def entry_doc(terms):
+    """A 2x2 diagonal document: 1 and the terms (raw JSON) at entry [1][1]."""
+    return ('{"variables":["z"],"class":{"sigma":[1]},"matrix":'
+            '[[[{"exp":[0],"re":1}],[]],[[],[%s]]]}' % terms)
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -110,6 +116,29 @@ class TestParsing:
                         '"matrix":[[[{"exp":[1],"re":1,"im":0}]]],'
                         '"class":{"sigma":[1]},"pairs":[[1]]}')
         assert info.value.kind == "bad-pairs"
+
+    @pytest.mark.parametrize("value", ['"inf"', '"-inf"', '"nan"', "1e400",
+                                       "NaN", "Infinity", '1,"im":"nan"'])
+    def test_non_finite_coefficient_refused(self, value):
+        with pytest.raises(InputError) as info:
+            parse_input(entry_doc('{"exp":[0],"re":1},{"exp":[2],"re":%s}'
+                                  % value))
+        assert info.value.kind == "bad-matrix"
+        assert "entry [1][1]" in str(info.value)
+        assert "exponent [2] is not finite" in str(info.value)
+
+    @pytest.mark.parametrize("exponent", ["2.7", "1e400", "NaN"])
+    def test_non_integer_exponent_refused(self, exponent):
+        with pytest.raises(InputError) as info:
+            parse_input(entry_doc('{"exp":[%s],"re":1}' % exponent))
+        assert info.value.kind == "bad-matrix"
+        assert "entry [1][1]" in str(info.value)
+        assert "is not a list of integers" in str(info.value)
+
+    def test_cancelling_terms_accepted(self):
+        doc = parse_input(entry_doc(
+            '{"exp":[0],"re":1},{"exp":[0],"re":-1},{"exp":[1],"re":2}'))
+        assert doc.matrix.rows[1][1].terms == {(1,): 2}
 
     def test_round_trip_random(self, rng):
         for _ in range(5):
@@ -270,6 +299,38 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error[overflow]:")
         assert "t=1e+100" in err
+
+    def test_pruned_input_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "pruned.json"
+        path.write_text(
+            entry_doc('{"exp":[0],"re":1e300},{"exp":[40],"re":1}'))
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[bad-matrix]:")
+        assert "entry [1][1]" in err and "exponent [40] is lost" in err
+
+    @pytest.mark.parametrize("command", ["eval", "torsion"])
+    def test_underflowing_value_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "underflow.json"
+        path.write_text(entry_doc('{"exp":[2],"re":1},{"exp":[3],"re":-3}'))
+        code, out, err = run_cli(
+            [command, "--input", str(path),
+             "--t-grid", "1e-250:1e-100:3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[underflow]:")
+        assert "t=1e-250" in err
+
+    @pytest.mark.parametrize("command", ["eval", "torsion"])
+    def test_zero_function_prints_zero_rows(self, tmp_path, capsys, command):
+        path = tmp_path / "zero.json"
+        path.write_text(entry_doc(""))
+        code, out, _ = run_cli(
+            [command, "--input", str(path),
+             "--t-grid", "1e-250:1e-100:3"], capsys)
+        assert code == 0
+        assert out == "t,value\n1e-250,0\n1e-175,0\n1e-100,0\n"
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

@@ -297,14 +297,3 @@ class TestMahlerMV:
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         with pytest.raises(DegenerateSliceError):
             mahler_mv(p, 1e-6)
-
-    def test_backends_agree(self, monkeypatch):
-        backends = kernel_mod.backends()
-        if len(backends) < 2:
-            pytest.skip("compiled kernel not available")
-        p = P(2, {(2, 1): 1, (0, 1): -3, (1, 0): 2, (0, 0): 1, (-1, -1): 1})
-        got = {}
-        for name, fn in backends.items():
-            monkeypatch.setattr(kernel_mod, "batch_log_mahler", fn)
-            got[name] = mahler_mv(p, 1e-9)
-        assert got["python"] == pytest.approx(got["compiled"], rel=1e-10)
