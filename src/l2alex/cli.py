@@ -5,8 +5,12 @@ parser); outputs are JSON objects/arrays or CSV with header "t,value". All
 floats are rendered with a fixed %.12g format and reductions run in a fixed
 order, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie or
-degeneracy error. Errors print one line "error[kind]: message" to stderr.
+Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie,
+degeneracy or ill-conditioning error. Errors print one line
+"error[kind]: message" to stderr. A --tol that is not a positive finite
+number is refused as error[bad-tol] before any work. A root factorization
+that fails its reconstruction check (an input too ill-conditioned for
+double precision) answers error[ill-conditioned], exit 3.
 A matrix entry with a non-integer exponent, a non-finite coefficient, or
 a coefficient too small beside the entry's largest one to be kept in
 double precision is refused at parse time as error[bad-matrix], naming
@@ -348,6 +352,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return _EXIT_INPUT if exc.code not in (0, None) else _EXIT_OK
     try:
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise InputError("bad-tol", f"--tol must be a positive finite "
+                                        f"number, got {tol!r}")
         args.run(args, sys.stdout)
         return _EXIT_OK
     except InputError as exc:
@@ -361,6 +369,9 @@ def main(argv=None) -> int:
     except (ChiefPartTieError, DegenerateSliceError, ZeroMatrixError,
             ZeroPolynomialError) as exc:
         print(f"error[degeneracy]: {exc}", file=sys.stderr)
+        return _EXIT_DEGENERATE
+    except ArithmeticError as exc:
+        print(f"error[ill-conditioned]: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE
     except L2AlexError as exc:
         print(f"error[input]: {exc}", file=sys.stderr)

@@ -35,12 +35,8 @@ def batch_log_mahler(coefs, inner, phases, strip_tol):
     inner = np.ascontiguousarray(inner, dtype=np.int64)
     phases = np.ascontiguousarray(phases, dtype=np.float64)
     m = phases.shape[0]
-    depth = int(inner.max()) + 1 if inner.size else 1
-
-    terms = np.exp(1j * phases) * coefs[None, :]
-    incidence = np.zeros((inner.shape[0], depth), dtype=np.complex128)
-    incidence[np.arange(inner.shape[0]), inner] = 1.0
-    slices = terms @ incidence                       # (m, depth)
+    slices = slice_coefficients(coefs, inner, phases)
+    depth = slices.shape[1]
 
     mags = np.abs(slices)
     alive = mags > strip_tol
@@ -61,6 +57,16 @@ def batch_log_mahler(coefs, inner, phases, strip_tol):
         block = slices[sel[:, None], cols]          # (k, d+1), ascending powers
         logm[sel] = _block_log_mahler(block, int(d))
     return logm, zero_mask
+
+
+def slice_coefficients(coefs, inner, phases):
+    """(m, D+1) coefficients, ascending in the inner variable, of the slice
+    polynomials sum_t coefs[t] e^{i phases[i, t]} z^{inner[t]}."""
+    depth = int(inner.max()) + 1 if inner.size else 1
+    terms = np.exp(1j * phases) * coefs[None, :]
+    incidence = np.zeros((inner.shape[0], depth), dtype=np.complex128)
+    incidence[np.arange(inner.shape[0]), inner] = 1.0
+    return terms @ incidence
 
 
 def _block_log_mahler(block, d):

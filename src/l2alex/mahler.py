@@ -17,6 +17,18 @@ angle is integrated over half the circle. With three or more variables this
 holds at the outermost level by negating the inner angles too; the inner
 integrals see coefficients folded with complex phases and stay on the full
 circle. M(0) is 0 by convention.
+
+Two variables: the slice log-measure has a corner at every outer angle
+where a slice root crosses the unit circle, the first coordinate of a
+toric point of p (Boyd & Rodriguez-Villegas, "Mahler's measure and the
+dilogarithm (I)", 2002). Those angles come from the unit-circle roots of a
+resultant (see ``_toric_angles``), and the outer integral starts from
+panels split there, so that its error estimate sees every corner. The
+search falls back to no breaks when the resultant vanishes identically (p
+and its conjugate reciprocal in the outer variable share a factor, such as
+a cyclotomic factor 1 + x in the outer variable alone) or when its samples
+are not finite. With three or more variables no integral takes breaks.
+The reported error is at least the quadrature's rounding floor.
 """
 
 from __future__ import annotations
@@ -33,6 +45,9 @@ from .laurent import LaurentPoly
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget, adaptive_circle_mean
 
 _STRIP_REL = 1e-13
+_TORIC_RADIUS = 1e-6     # a resultant root this near the circle is on it
+_TORIC_SNR = 1e6         # resultant samples must exceed their rounding so
+_SYLVESTER_BATCH = 256   # Sylvester matrices per slogdet call
 _RECONSTRUCTION_RTOL = 1e-9
 
 
@@ -265,8 +280,8 @@ def mahler_mv(p: LaurentPoly, tol: float = 1e-8,
 def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
                      max_evals: int = DEFAULT_NODE_BUDGET) -> MahlerResult:
     """Same as mahler_mv, also reporting the achieved quadrature tolerance."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if p.is_zero:
         return MahlerResult(0.0, -math.inf, 0.0)
     log_measure, achieved = log_mahler_mv(p, tol, NodeBudget(max_evals))
@@ -308,18 +323,125 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
     return mean + math.log(scale), achieved
 
 
-def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
+def _toric_angles(coefs, inner, outer):
+    """Outer angles in [0, 2pi) at which a slice root crosses |w| = 1.
+
+    These are the first coordinates of the toric points (theta, phi), where
+    p(e^{i theta}, e^{i phi}) = 0, and the slice log-measure has a corner
+    there. The outer variable x (exponents ``outer``, spread E) is
+    eliminated, because E is at most the Jensen variable's spread D: for
+    w = e^{i phi}, p_phi(x) = p(x, w) has a root on |x| = 1 exactly when it
+    shares one with its conjugate reciprocal x^E conj(p_phi(1 / conj x)).
+    Their resultant R(phi) = |lead|^{2E} prod_{i,j} (1 - a_i conj(a_j)),
+    over the roots a_i of p_phi, is a real trigonometric polynomial of
+    degree at most D*E. It is sampled at 2DE + 1 roots of unity by
+    Sylvester determinants (2E x 2E), turned into coefficients by FFT, and
+    its roots within _TORIC_RADIUS of the unit circle give the phis; the
+    roots of p_phi there give the thetas. Eliminating w instead takes
+    products over D^2 root pairs, whose range of magnitude around the
+    circle can exceed the precision of the coefficients.
+
+    Returns no angles when R vanishes identically (p_phi and its conjugate
+    reciprocal share a factor, such as a cyclotomic factor in x alone),
+    that is when its samples are not clearly larger than their rounding
+    (read off their imaginary parts, which R does not have), or when they
+    are not finite. Angles are hints for panel edges: a missing one only
+    leaves the corner to adaptive refinement.
+    """
+    powers = (outer - outer.min()).astype(np.int64)
+    e = int(powers.max())
+    k = int(inner.max()) * e
+    if k == 0:
+        return np.empty(0)
+    n = 2 * k + 1
+    grid = 2.0 * np.pi * np.arange(n) / n
+    rows = np.repeat(np.arange(e), e + 1)
+    cols = rows + np.tile(np.arange(e + 1), e)
+    signs, logdets = [], []
+    for start in range(0, n, _SYLVESTER_BATCH):
+        b = kernels.slice_coefficients(
+            coefs, powers, grid[start:start + _SYLVESTER_BATCH, None] * inner)
+        syl = np.zeros((len(b), 2 * e, 2 * e), dtype=np.complex128)
+        syl[:, rows, cols] = np.tile(b[:, ::-1], e)
+        syl[:, rows + e, cols] = np.tile(b.conj(), e)
+        sign, logdet = np.linalg.slogdet(syl)
+        signs.append(sign)
+        logdets.append(logdet)
+    logdet = np.concatenate(logdets)
+    top = float(np.max(logdet))
+    if not math.isfinite(top) or np.isnan(logdet).any():
+        return np.empty(0)
+    samples = np.concatenate(signs) * np.exp(logdet - top)
+    noise = float(np.max(np.abs(samples.imag)))
+    if not np.max(np.abs(samples.real)) > _TORIC_SNR * noise:
+        return np.empty(0)
+
+    phis = _real_roots(np.fft.rfft(samples.real) / n, noise,
+                       even=not coefs.imag.any())
+    if len(phis) == 0:
+        return np.empty(0)
+
+    # roots of p_phi at those phis, by companion matrices grouped by degree
+    rows = kernels.slice_coefficients(coefs, powers, phis[:, None] * inner)
+    mags = np.abs(rows)
+    alive = mags > _STRIP_REL * np.max(mags, axis=1, keepdims=True)
+    degree = np.where(alive.any(axis=1),
+                      e - np.argmax(alive[:, ::-1], axis=1), 0)
+    thetas = []
+    for d in np.unique(degree[degree > 0]):
+        block = rows[degree == d, :d + 1]
+        comp = np.zeros((len(block), d, d), dtype=np.complex128)
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] = -block[:, :-1] / block[:, -1:]
+        xs = np.linalg.eigvals(comp).reshape(-1)
+        thetas.extend(np.angle(xs[np.abs(np.abs(xs) - 1.0) <= _TORIC_RADIUS]))
+    return np.sort(np.mod(thetas, 2.0 * np.pi))
+
+
+def _real_roots(half, noise, even):
+    """Real roots phi of R(phi) = sum_{|m| <= k} r_m e^{i m phi}, given
+    r_0..r_k (r_{-m} = conj r_m) known to +-noise; roots within about
+    _TORIC_RADIUS of the real line count.
+
+    Coefficients at the noise level are dropped from the ends. An even R
+    (real r_m) is a Chebyshev series in cos(phi), solved by its colleague
+    matrix of size k; otherwise w^k R(w) by its companion matrix of size 2k.
+    """
+    if even:
+        cheb = 2.0 * half.real
+        cheb[0] = half[0].real
+        cheb = cheb[:np.nonzero(np.abs(cheb) > noise)[0][-1] + 1]
+        if len(cheb) < 2:
+            return np.empty(0)
+        cs = np.polynomial.chebyshev.chebroots(cheb)
+        cs = cs[(np.abs(cs.imag) <= _TORIC_RADIUS)
+                & (np.abs(cs.real) <= 1.0 + _TORIC_RADIUS)].real
+        phis = np.arccos(np.clip(cs, -1.0, 1.0))
+        return np.concatenate([phis, -phis])
+    coeffs = np.concatenate([half[:0:-1].conj(), half])
+    big = np.nonzero(np.abs(coeffs) > noise)[0]
+    coeffs = coeffs[big[0]:big[-1] + 1]
+    if len(coeffs) < 2:
+        return np.empty(0)
+    ws = np.polynomial.polynomial.polyroots(coeffs)
+    return np.angle(ws[np.abs(np.abs(ws) - 1.0) <= _TORIC_RADIUS])
+
+
+def _nested_log_mean(coefs, inner, outer_exps, tol, budget, outermost=True):
     """Mean over the outer torus of the slice log-measures.
 
     The innermost (Jensen) variable is already separated out; outer angles
     are peeled one dimension at a time. Only the final dimension is batched
     through the kernel; higher dimensions recurse. Real coefficients make
     the integrand even in the first outer angle (see the module docstring).
+    With one outer angle, the outermost integral starts from panels split
+    at the toric angles.
     """
     dims = outer_exps.shape[1]
     even = not coefs.imag.any()
     if dims == 1:
         col = np.ascontiguousarray(outer_exps[:, 0])
+        breaks = _toric_angles(coefs, inner, col) if outermost else ()
 
         def f(thetas):
             phases = thetas[:, None] * col[None, :]
@@ -331,7 +453,8 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
                     "at a quadrature node")
             return logm
 
-        return adaptive_circle_mean(f, tol, budget, even=even)[:2]
+        return adaptive_circle_mean(f, tol, budget, even=even,
+                                    breaks=breaks)[:2]
 
     level_tol = tol / dims
     rest = np.ascontiguousarray(outer_exps[:, 1:])
@@ -344,7 +467,8 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
         for i, th in enumerate(thetas):
             folded = coefs * np.exp(1j * th * first)
             val, ach = _nested_log_mean(folded, inner, rest,
-                                        level_tol * (dims - 1), budget)
+                                        level_tol * (dims - 1), budget,
+                                        outermost=False)
             achieved_inner = max(achieved_inner, ach)
             out[i] = val
         return out

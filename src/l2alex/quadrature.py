@@ -10,13 +10,27 @@ splits all panels whose estimate exceeds an equidistributed share of the
 target. Smooth panels converge at Gauss-Legendre speed; corner and
 singularity panels shrink geometrically around the bad point.
 
+Breakpoints: a caller that knows where the corners are passes them as
+breaks=, and the starting panels are split there (as QUADPACK's QAGP does),
+so every corner sits on a panel edge. Between breaks the integrand is
+smooth and Gauss-Legendre converges at its full speed; a corner inside a
+panel is seen only by nodes that happen to fall near it, and a narrow
+feature between two close corners can fall between all of them while both
+estimates agree. A break within _BREAK_GAP of an edge adds no panel.
+
 Symmetry: a caller whose integrand is even, f(-t) = f(t), passes even=True
 and only [0, pi) is swept. This is the case for the slice log-measures of a
 polynomial with real coefficients: the slice at -t is the complex conjugate
 of the slice at t and has the same root moduli. The half sweep starts from
 the first 8 of the 16 full-circle panels, and both its error sum and its
 target are half the full-circle ones, so it refines exactly the panels of
-[0, pi) that the full sweep would, at half the nodes.
+[0, pi) that the full sweep would, at half the nodes. Breaks fold into
+[0, pi] by t -> 2pi - t, which is where the corners of an even integrand
+at t and -t both land.
+
+Rounding: the reported error is at least ROUNDOFF_FLOOR times
+max(1, mean |f|) (see ``adaptive_circle_mean``), since smooth panels drive
+the embedded estimate below the rounding of the integrand itself.
 
 Determinism: panels are refined and summed in left-endpoint order, so a given
 tolerance and budget always produce bit-identical results.
@@ -36,8 +50,10 @@ _NODES, _WEIGHTS = leggauss(GL_ORDER)
 TWO_PI = 2.0 * np.pi
 
 DEFAULT_NODE_BUDGET = 2_000_000
+ROUNDOFF_FLOOR = 2.0 ** -40
 _INITIAL_PANELS = 16
 _MIN_WIDTH = TWO_PI * 2.0 ** -52
+_BREAK_GAP = 1e-9
 
 
 class NodeBudget:
@@ -66,23 +82,58 @@ def _gl_batch(f, lefts, widths):
     return half * (vals @ _WEIGHTS)
 
 
+def _initial_panels(span, n_init, breaks, even):
+    """(lefts, widths) of the n_init equal panels of [0, span), split at
+    the breaks (angles mod 2pi, folded into [0, pi] when even). A break
+    within _BREAK_GAP of an edge already kept adds no panel."""
+    lefts = span * np.arange(n_init) / n_init
+    if len(breaks) == 0:
+        return lefts, np.full(n_init, span / n_init)
+    folded = np.mod(np.asarray(breaks, dtype=np.float64), TWO_PI)
+    if even:
+        folded = np.where(folded > np.pi, TWO_PI - folded, folded)
+    edges = [0.0]
+    for x in np.sort(np.concatenate([lefts[1:], folded])):
+        if x - edges[-1] > _BREAK_GAP and span - x > _BREAK_GAP:
+            edges.append(float(x))
+    edges.append(span)
+    edges = np.array(edges)
+    return edges[:-1], np.diff(edges)
+
+
 def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
-                         even: bool = False):
+                         even: bool = False, breaks=()):
     """Mean of f over [0, 2pi) to absolute tolerance ~tol.
 
     f maps a 1-D array of angles to a 1-D array of values and may be called
     with large batches. With even=True, f must satisfy f(-t) = f(t), and only
-    [0, pi) is integrated. Returns (mean, achieved_tol, n_evals). Raises
+    [0, pi) is integrated. breaks are angles (any real, read mod 2pi) at
+    which the starting panels are split. Returns (mean, achieved_tol,
+    n_evals). Raises ValueError unless tol is positive and finite, and
     QuadratureBudgetError if the node budget runs out first, also when it
     runs out inside f (a nested integral); the error carries this level's
     mean and achieved error from its last completed sweep, or nan and inf
     before the first sweep completes.
+
+    achieved_tol is at least ROUNDOFF_FLOOR * max(1, mean |f|), with
+    ROUNDOFF_FLOOR = 2^-40 (9.1e-13). The embedded estimate compares
+    quadratures of the same computed values, so it cannot see their
+    rounding. The slice kernel's log-measures (companion eigenvalues of
+    coefficients scaled to at most 1) were off by at most 2.2e-14 absolute
+    against 30-digit slice roots (mpmath), at random nodes and nodes 1e-7
+    from each crossing, for the twelve l2bench curves2v determinants
+    (slice degrees 4-11) twisted at five values of t; the ordered sum over
+    a few hundred panels adds under 1e-13 relative. The floor is 40 times
+    the worse of the two, and scales with the integrand where its
+    magnitude exceeds 1.
     """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     if budget is None:
         budget = NodeBudget()
     span = np.pi if even else TWO_PI
-    n_init = _INITIAL_PANELS // 2 if even else _INITIAL_PANELS
-    tol_total = max(float(tol), 1e-15) * span
+    tol_total = max(tol, 1e-15) * span
     value, err_sum = math.nan, math.inf    # until the first sweep completes
 
     def gl_batch(lefts, widths):
@@ -92,8 +143,9 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
             raise QuadratureBudgetError(str(exc), value / span,
                                         err_sum / span) from None
 
-    lefts = span * np.arange(n_init) / n_init
-    widths = np.full(n_init, span / n_init)
+    lefts, widths = _initial_panels(
+        span, _INITIAL_PANELS // 2 if even else _INITIAL_PANELS, breaks, even)
+    n_init = len(lefts)
     start_used = budget.used
     exhausted = (f"quadrature node budget exhausted "
                  f"({budget.limit} evaluations)")
@@ -112,15 +164,19 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
         ordered = sorted(panels, key=lambda rec: rec[0])
         val = 0.0
         err = 0.0
+        mag = 0.0
         for rec in ordered:
             val += rec[2] + rec[3]
             err += rec[4]
-        return val, err
+            mag += abs(rec[2]) + abs(rec[3])
+        return val, err, mag
 
     while True:
-        value, err_sum = totals()
+        value, err_sum, mag = totals()
         if err_sum <= tol_total:
-            return value / span, err_sum / span, budget.used - start_used
+            floor = ROUNDOFF_FLOOR * max(1.0, mag / span)
+            return (value / span, max(err_sum / span, floor),
+                    budget.used - start_used)
 
         threshold = tol_total / max(len(panels), 1)
         split = [rec for rec in panels

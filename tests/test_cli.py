@@ -1,7 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
+
+import l2alex
 
 from l2alex.cli import (InputDocument, main, parse_input, render_json,
                         serialize_input)
@@ -22,6 +27,16 @@ SMYTH_DOC = json.dumps({
     "matrix": [[[{"exp": [0, 0], "re": 1, "im": 0},
                  {"exp": [1, 0], "re": 1, "im": 0},
                  {"exp": [0, 1], "re": 1, "im": 0}]]],
+    "class": {"sigma": [1, 1]},
+})
+
+# (1 + x)(1 + x + y^3): the slice log-measure in y has a log singularity at
+# x = -1, so tight tolerances need many refinement sweeps.
+SINGULAR_DOC = json.dumps({
+    "variables": ["x", "y"],
+    "matrix": [[[{"exp": list(e), "re": c, "im": 0}
+                 for e, c in (((0, 0), 1), ((1, 0), 2), ((2, 0), 1),
+                              ((0, 3), 1), ((1, 3), 1))]]],
     "class": {"sigma": [1, 1]},
 })
 
@@ -259,6 +274,32 @@ class TestCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["mahler"], ["eval", "--t-grid", "1:2:3"]])
+    def test_bad_tol_refused(self, smyth_file, capsys, command, tol):
+        # nan used to run on without end: max(nan, 1e-15) is nan, and no
+        # refinement sweep ever converges
+        code, out, err = run_cli(
+            [command[0], "--input", smyth_file, *command[1:], "--tol", tol],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[bad-tol]:")
+
+    def test_ill_conditioned_roots(self, quadratic_file, capsys,
+                                   monkeypatch):
+        def failing(q):
+            raise ArithmeticError("root finding failed the reconstruction "
+                                  "check")
+
+        monkeypatch.setattr(l2alex.mahler, "roots", failing)
+        code, out, err = run_cli(["mahler", "--input", quadratic_file],
+                                 capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error[ill-conditioned]:")
+
     def test_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("nope")
@@ -271,9 +312,11 @@ class TestExitCodes:
                                capsys)
         assert code == 1
 
-    def test_budget_error(self, smyth_file, capsys):
+    def test_budget_error(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        path.write_text(SINGULAR_DOC)
         code, _, err = run_cli(
-            ["mahler", "--input", smyth_file, "--tol", "1e-13",
+            ["mahler", "--input", str(path), "--tol", "1e-13",
              "--max-evals", "600"], capsys)
         assert code == 2
         assert "quadrature-budget" in err
@@ -363,3 +406,15 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(["degree", "--input", str(path)], capsys)
         assert code == 3
+
+
+def test_import_leaves_fft_unloaded():
+    # the toric breakpoints import numpy.fft on first use, so CLI start-up
+    # does not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(l2alex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, l2alex.cli; print('numpy.fft' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

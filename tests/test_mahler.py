@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from l2alex import (LaurentPoly, QuadratureBudgetError, ZeroPolynomialError,
-                    mahler_1v, mahler_mv, mahler_mv_report, monomial_profile,
-                    profile_value, roots, scaled_mahler_1v)
+from l2alex import (CohomClass, LaurentPoly, QuadratureBudgetError,
+                    ZeroPolynomialError, mahler_1v, mahler_mv,
+                    mahler_mv_report, monomial_profile, profile_value, roots,
+                    scaled_mahler_1v, twist_poly)
 from l2alex import kernels as kernel_mod
 from l2alex import mahler as mahler_mod
 from l2alex.mahler import log_mahler_mv
-from l2alex.quadrature import NodeBudget, adaptive_circle_mean
+from l2alex.quadrature import (ROUNDOFF_FLOOR, NodeBudget,
+                               adaptive_circle_mean)
 
 from conftest import random_int_poly
 from oracles import quad_mahler_1v, trapezoid_mahler_2v
@@ -237,7 +239,9 @@ class TestMahlerMV:
         assert math.exp(rep.log_measure) == pytest.approx(rep.measure)
 
     def test_budget_error_carries_best_estimate(self):
-        p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+        # (1 + x)(1 + x + y^3), of measure M(1 + x + y): a log singularity
+        # at x = -1 keeps the refinement going past 600 nodes at 1e-13
+        p = P(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 3): 1, (1, 3): 1})
         with pytest.raises(QuadratureBudgetError) as info:
             mahler_mv(p, 1e-13, max_evals=600)
         assert info.value.best_estimate == pytest.approx(1.38135644, rel=1e-3)
@@ -257,13 +261,13 @@ class TestMahlerMV:
         half_budget = NodeBudget()
         half = log_mahler_mv(p, 1e-8, half_budget)
 
-        def full_circle(f, tol, budget, even=False):
-            return adaptive_circle_mean(f, tol, budget)
+        def full_circle(f, tol, budget, even=False, breaks=()):
+            return adaptive_circle_mean(f, tol, budget, breaks=breaks)
 
         monkeypatch.setattr(mahler_mod, "adaptive_circle_mean", full_circle)
         full_budget = NodeBudget()
         full = log_mahler_mv(p, 1e-8, full_budget)
-        assert 2 * half_budget.used == full_budget.used == 768
+        assert 2 * half_budget.used == full_budget.used == 432
         assert half[0] == pytest.approx(full[0], abs=1e-14)
 
     def test_smyth_three_variables_within_default_budget(self):
@@ -297,3 +301,107 @@ class TestMahlerMV:
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         with pytest.raises(DegenerateSliceError):
             mahler_mv(p, 1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            mahler_mv_report(P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), tol)
+
+
+# Determinants of two l2bench curves2v inputs (seed 1), hard-coded. The
+# reference log-measures come from 30-digit slice roots (mpmath) integrated
+# by Gauss-Legendre between the crossings; a 2^20-point midpoint rule gives
+# 4.0909496076070 for CURVE5.
+CURVE5 = {(-4, 4): -6, (-4, 5): -26, (-4, 6): 6, (-4, 8): -18, (-3, 2): -19,
+          (-3, 3): -11, (-3, 4): -9, (-3, 5): -48, (-3, 6): -17, (-3, 7): -6,
+          (-3, 8): 12, (-3, 9): -18, (-2, 0): 11, (-2, 1): 6, (-2, 2): -15,
+          (-2, 3): -7, (-2, 4): -30, (-2, 5): 6, (-2, 6): -34, (-2, 7): 12,
+          (-2, 9): 12, (-1, 0): 9, (-1, 2): 6, (-1, 3): -21, (-1, 4): -9,
+          (-1, 5): -12, (-1, 6): 6, (-1, 7): 18, (-1, 9): -12}
+CURVE5_LOG = 4.0909496076074256
+CURVE7 = {(-3, -4): 3, (-3, -3): -3, (-3, -2): 3, (-3, -1): 3, (-3, 0): -6,
+          (-2, -4): -6, (-2, -3): 2, (-2, -2): 6, (-2, -1): -1, (-2, 0): -11,
+          (-1, -4): 3, (-1, -3): 1, (-1, -2): -8, (-1, -1): -3, (-1, 0): -3}
+CURVE7_LOG = 2.7161103467691794
+SMYTH_LOG = 0.32306594721945051       # m(1 + x + y)
+
+
+def recorded_breaks(monkeypatch):
+    """Patch the quadrature to record the breaks each integral starts from."""
+    seen = []
+
+    def recording(f, tol, budget, even=False, breaks=()):
+        seen.append(sorted(float(b) for b in breaks))
+        return adaptive_circle_mean(f, tol, budget, even=even, breaks=breaks)
+
+    monkeypatch.setattr(mahler_mod, "adaptive_circle_mean", recording)
+    return seen
+
+
+class TestToricBreaks:
+    def test_curve5_within_reported_tolerance(self):
+        # without breaks: 3.8e-8 off while reporting 5.7e-9
+        rep = mahler_mv_report(P(2, CURVE5))
+        assert abs(rep.log_measure - CURVE5_LOG) <= rep.achieved_tol
+
+    def test_roundoff_floor(self):
+        # smooth panels between the breaks make the embedded estimate
+        # collapse to ~1e-15; the floor keeps the report above rounding
+        rep = mahler_mv_report(P(2, CURVE7))
+        assert rep.achieved_tol >= ROUNDOFF_FLOOR
+        assert abs(rep.log_measure - CURVE7_LOG) <= rep.achieved_tol
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_curve7_agrees_across_coordinates(self, tol):
+        # (ex, ey) -> (-ex, 3ex + ey) keeps M; sigma' = A^-T sigma keeps
+        # <sigma, v>, so both give log V(t). Without breaks, a crossing pair
+        # at theta = +-0.00129 fell between the first nodes and the two
+        # disagreed by 4.6e-8 at tol 1e-12, each reporting ~1e-13.
+        t = 0.25 * 16 ** (2 / 7)
+        moved = {(-ex, 3 * ex + ey): c for (ex, ey), c in CURVE7.items()}
+        reps = [mahler_mv_report(twist_poly(P(2, terms), CohomClass(sigma),
+                                            t), tol)
+                for terms, sigma in ((CURVE7, (-3, -1)), (moved, (0, -1)))]
+        assert abs(reps[0].log_measure - reps[1].log_measure) <= \
+            reps[0].achieved_tol + reps[1].achieved_tol
+        for rep in reps:
+            assert rep.log_measure == pytest.approx(-0.50630451242,
+                                                    abs=rep.achieved_tol
+                                                    + 1e-11)
+
+    def test_smyth_breaks(self, monkeypatch):
+        # the slice 1 + y + x in x has its root -(1 + y) on the circle
+        # exactly at y = e^{+-2 pi i / 3}
+        seen = recorded_breaks(monkeypatch)
+        rep = mahler_mv_report(P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}))
+        assert seen == [pytest.approx([2 * math.pi / 3, 4 * math.pi / 3],
+                                      abs=1e-12)]
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol
+
+    def test_jensen_variable_factor(self, monkeypatch):
+        # (1 + y)(1 + x + y): y is the Jensen variable, the slice measure is
+        # log max(1, |1 + x|), with corners where x = e^{+-2 pi i / 3}
+        seen = recorded_breaks(monkeypatch)
+        p = P(2, {(0, 0): 1, (0, 1): 1}) * P(2, {(0, 0): 1, (1, 0): 1,
+                                                 (0, 1): 1})
+        rep = mahler_mv_report(p)
+        assert seen == [pytest.approx([2 * math.pi / 3, 4 * math.pi / 3],
+                                      abs=1e-9)]
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol
+
+    def test_shared_factor_falls_back(self, monkeypatch):
+        # (1 + x)(1 + x + y^3): every slice p(x, w) shares 1 + x with its
+        # conjugate reciprocal, so the resultant vanishes identically and
+        # the quadrature starts from the plain panels
+        seen = recorded_breaks(monkeypatch)
+        p = P(2, {(0, 0): 1, (1, 0): 1}) * P(2, {(0, 0): 1, (1, 0): 1,
+                                                 (0, 3): 1})
+        rep = mahler_mv_report(p)
+        assert seen == [[]]
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol
+
+    def test_three_variables_take_no_breaks(self, monkeypatch):
+        seen = recorded_breaks(monkeypatch)
+        mahler_mv_report(P(3, {(1, 1, 1): 1, (1, 1, 0): -3, (0, 0, 1): -2,
+                               (0, 0, 0): 6}), 1e-5)
+        assert seen and all(b == [] for b in seen)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from l2alex import QuadratureBudgetError, geometric_grid
-from l2alex.quadrature import NodeBudget, adaptive_circle_mean
+from l2alex.quadrature import (ROUNDOFF_FLOOR, NodeBudget,
+                               adaptive_circle_mean)
 
 
 class TestAdaptiveCircleMean:
@@ -97,6 +98,62 @@ class TestAdaptiveCircleMean:
         a = adaptive_circle_mean(f, 1e-11)
         b = adaptive_circle_mean(f, 1e-11)
         assert a == b
+
+
+def smyth_slice(t):
+    """log max(1, |1 + e^{it}|): the slice log-measure of 1 + x + y, whose
+    mean is m(1 + x + y), with corners at t = 2pi/3 and 4pi/3."""
+    return np.log(np.maximum(1.0, np.abs(1.0 + np.exp(1j * t))))
+
+
+SMYTH_LOG = 0.32306594721945051
+SMYTH_BREAKS = (2 * np.pi / 3, 4 * np.pi / 3)
+
+
+class TestBreaks:
+    def test_breaks_resolve_corners(self):
+        plain = adaptive_circle_mean(smyth_slice, 1e-12)
+        split = adaptive_circle_mean(smyth_slice, 1e-12, breaks=SMYTH_BREAKS)
+        for mean, err, _ in (plain, split):
+            assert abs(mean - SMYTH_LOG) <= err
+        # 18 panels of 3 x 8 nodes and no refinement
+        assert split[2] == 18 * 24 < plain[2]
+
+    def test_even_folds_breaks(self):
+        full_budget, half_budget = NodeBudget(), NodeBudget()
+        full = adaptive_circle_mean(smyth_slice, 1e-12, full_budget,
+                                    breaks=SMYTH_BREAKS)
+        half = adaptive_circle_mean(smyth_slice, 1e-12, half_budget,
+                                    even=True, breaks=SMYTH_BREAKS)
+        assert half[0] == pytest.approx(full[0], abs=1e-15)
+        assert 2 * half_budget.used == full_budget.used
+
+    def test_breaks_at_edges_add_no_panel(self):
+        plain = adaptive_circle_mean(np.cos, 1e-10)
+        edged = adaptive_circle_mean(np.cos, 1e-10,
+                                     breaks=(0.0, np.pi / 8, -1e-12,
+                                             2 * np.pi))
+        assert edged[2] == plain[2]
+        assert edged[0] == pytest.approx(plain[0], abs=1e-15)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            adaptive_circle_mean(np.cos, tol)
+
+    @pytest.mark.parametrize("scale, tol", [(1.0, 1e-14), (1e6, 1e-6)])
+    def test_roundoff_floor(self, scale, tol):
+        # GL8 on 16 panels integrates cos^2 to rounding, so the embedded
+        # estimate reads ~1e-17 per unit of scale; the report keeps the
+        # floor, scaled by the integrand's mean magnitude (here scale / 2)
+        # when that exceeds 1
+        mean, err, _ = adaptive_circle_mean(
+            lambda t: scale * np.cos(t) ** 2, tol)
+        assert mean == pytest.approx(scale / 2, rel=1e-15)
+        assert err == pytest.approx(ROUNDOFF_FLOOR * max(1.0, scale / 2),
+                                    rel=1e-12)
 
 
 class TestGeometricGrid:
