@@ -14,8 +14,9 @@ names it.
 from .degree import (AsymptoteReport, ConvexityReport, DetFunction,
                      LipschitzReport, asymptote, chief_part, convexity_check,
                      det_function, lipschitz_degree_check)
-from .errors import (ChiefPartTieError, DegenerateSliceError, InputError,
-                     L2AlexError, QuadratureBudgetError, VariableCountMismatch,
+from .errors import (ChiefPartTieError, DegenerateSliceError,
+                     IllConditionedError, InputError, L2AlexError,
+                     QuadratureBudgetError, VariableCountMismatch,
                      ZeroMatrixError, ZeroPolynomialError)
 from .kernels import KERNEL_BACKEND
 from .laurent import LaurentMatrix, LaurentPoly
@@ -39,9 +40,10 @@ __all__ = [
     "AsymptoteReport", "ChiefPartTieError", "CohomClass", "ConstantTorsion",
     "ConvexityReport", "DegenerateSliceError", "DetFunction", "FiberedTorsion",
     "FIGURE_EIGHT_ENTROPY", "FIGURE_EIGHT_VOLUME", "GraphTorsion",
-    "InputError", "KERNEL_BACKEND", "L2AlexError", "LaurentMatrix",
-    "LaurentPoly", "LipschitzReport", "MahlerResult", "MonomialPiece",
-    "PresentationTorsion", "ProductTorsion", "QuadratureBudgetError",
+    "IllConditionedError", "InputError", "KERNEL_BACKEND", "L2AlexError",
+    "LaurentMatrix", "LaurentPoly", "LipschitzReport", "MahlerResult",
+    "MonomialPiece", "PresentationTorsion", "ProductTorsion",
+    "QuadratureBudgetError",
     "RootData", "SymmetryReport", "TorsionFunction", "TorsionSpec",
     "UNSPECIFIED", "V3", "VariableCountMismatch", "ZeroMatrixError",
     "ZeroPolynomialError", "asymptote", "chief_part", "convexity_check",

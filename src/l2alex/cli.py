@@ -10,7 +10,8 @@ degeneracy or ill-conditioning error. Errors print one line
 "error[kind]: message" to stderr. A --tol that is not a positive finite
 number is refused as error[bad-tol] before any work. A root factorization
 that fails its reconstruction check (an input too ill-conditioned for
-double precision) answers error[ill-conditioned], exit 3.
+double precision, IllConditionedError) answers error[ill-conditioned],
+exit 3.
 A matrix entry with a non-integer exponent, a non-finite coefficient, or
 a coefficient too small beside the entry's largest one to be kept in
 double precision is refused at parse time as error[bad-matrix], naming
@@ -30,8 +31,9 @@ import sys
 from dataclasses import dataclass
 
 from .degree import det_function, convexity_check
-from .errors import (ChiefPartTieError, DegenerateSliceError, InputError,
-                     L2AlexError, QuadratureBudgetError, ZeroMatrixError,
+from .errors import (ChiefPartTieError, DegenerateSliceError,
+                     IllConditionedError, InputError, L2AlexError,
+                     QuadratureBudgetError, ZeroMatrixError,
                      ZeroPolynomialError)
 from .laurent import LaurentMatrix
 from .mahler import mahler_mv_report
@@ -370,7 +372,7 @@ def main(argv=None) -> int:
             ZeroPolynomialError) as exc:
         print(f"error[degeneracy]: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE
-    except ArithmeticError as exc:
+    except IllConditionedError as exc:
         print(f"error[ill-conditioned]: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE
     except L2AlexError as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: input problems exit 1, exhausted
-numeric budgets exit 2, ties and degeneracies exit 3.
+numeric budgets exit 2, ties, degeneracies and ill-conditioning exit 3.
 """
 
 
@@ -55,6 +55,11 @@ class DegenerateSliceError(L2AlexError):
     vanish only on a measure-zero set; hitting one exactly at a quadrature
     node indicates degenerate input rather than a harmless corner case.
     """
+
+
+class IllConditionedError(L2AlexError, ArithmeticError):
+    """A root factorization failed its reconstruction check: the input is
+    too ill-conditioned for double precision."""
 
 
 class ChiefPartTieError(L2AlexError):

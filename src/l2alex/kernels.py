@@ -5,6 +5,8 @@ quadrature node i fixes the outer phases and leaves a one-variable polynomial
 whose log Mahler measure is log|lead| + sum log(max(1, |root|)) by Jensen's
 formula. Degrees 0-2 are handled in closed form; higher degrees go through
 batched companion-matrix eigenvalues in numpy. ``KERNEL_BACKEND`` names it.
+The slice construction, the grouping by degree and the companion roots are
+shared with ``mahler``'s root finding and breakpoint search.
 """
 
 import numpy as np
@@ -36,27 +38,42 @@ def batch_log_mahler(coefs, inner, phases, strip_tol):
     phases = np.ascontiguousarray(phases, dtype=np.float64)
     m = phases.shape[0]
     slices = slice_coefficients(coefs, inner, phases)
-    depth = slices.shape[1]
 
-    mags = np.abs(slices)
-    alive = mags > strip_tol
+    alive = np.abs(slices) > strip_tol
     zero_mask = ~alive.any(axis=1)
     logm = np.zeros(m, dtype=np.float64)
-    live_rows = np.nonzero(~zero_mask)[0]
-    if live_rows.size == 0:
-        return logm, zero_mask
+    for sel, block, d in degree_blocks(slices, alive):
+        logm[sel] = _block_log_mahler(block, d)
+    return logm, zero_mask
 
+
+def degree_blocks(slices, alive):
+    """Group the rows of slices (ascending coefficients) by degree, once
+    the coefficients that are not ``alive`` are stripped from both ends.
+    Rows with no live coefficient are left out. Yields (rows, block, d),
+    with block the (len(rows), d+1) stripped coefficients."""
+    depth = slices.shape[1]
+    live_rows = np.nonzero(alive.any(axis=1))[0]
     lo = np.argmax(alive[live_rows], axis=1)
     hi = depth - 1 - np.argmax(alive[live_rows][:, ::-1], axis=1)
     deg = hi - lo
-
     for d in np.unique(deg):
         sel = live_rows[deg == d]
         base = lo[deg == d]
         cols = base[:, None] + np.arange(d + 1)[None, :]
-        block = slices[sel[:, None], cols]          # (k, d+1), ascending powers
-        logm[sel] = _block_log_mahler(block, int(d))
-    return logm, zero_mask
+        yield sel, slices[sel[:, None], cols], int(d)
+
+
+def companion_roots(block):
+    """(k, d) roots of k degree-d polynomials (rows of ascending
+    coefficients, d >= 1, nonzero leading ones) from companion-matrix
+    eigenvalues."""
+    k, d = block.shape[0], block.shape[1] - 1
+    monic = block / block[:, -1][:, None]
+    comp = np.zeros((k, d, d), dtype=np.complex128)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, -1] = -monic[:, :-1]
+    return np.linalg.eigvals(comp)
 
 
 def slice_coefficients(coefs, inner, phases):
@@ -84,12 +101,7 @@ def _block_log_mahler(block, d):
         out += np.maximum(0.0, np.log(np.abs(r1)))
         out += np.maximum(0.0, np.log(np.abs(r2)))
         return out
-    monic = block / block[:, -1][:, None]
-    k = block.shape[0]
-    comp = np.zeros((k, d, d), dtype=np.complex128)
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, :, -1] = -monic[:, :-1]
-    eig = np.linalg.eigvals(comp)
+    eig = companion_roots(block)
     out = np.log(np.abs(block[:, -1]))
     out += np.sum(np.maximum(0.0, np.log(np.abs(eig))), axis=1)
     return out

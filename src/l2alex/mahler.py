@@ -26,8 +26,10 @@ resultant (see ``_toric_angles``), and the outer integral starts from
 panels split there, so that its error estimate sees every corner. The
 search falls back to no breaks when the resultant vanishes identically (p
 and its conjugate reciprocal in the outer variable share a factor, such as
-a cyclotomic factor 1 + x in the outer variable alone) or when its samples
-are not finite. With three or more variables no integral takes breaks.
+a cyclotomic factor 1 + x in the outer variable alone), when its samples
+are not finite, or when the bidegree is so large that the search would
+cost more than the plain panels' first nodes. With three or more
+variables no integral takes breaks.
 The reported error is at least the quadrature's rounding floor.
 """
 
@@ -39,14 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (DegenerateSliceError, QuadratureBudgetError,
-                     ZeroPolynomialError)
+from .errors import (DegenerateSliceError, IllConditionedError,
+                     QuadratureBudgetError, ZeroPolynomialError)
 from .laurent import LaurentPoly
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget, adaptive_circle_mean
 
 _STRIP_REL = 1e-13
 _TORIC_RADIUS = 1e-6     # a resultant root this near the circle is on it
-_TORIC_SNR = 1e6         # resultant samples must exceed their rounding so
+_TORIC_SNR = 1e6         # resultant samples must exceed their rounding by this
+_TORIC_MAX_ROOTS = 64    # largest resultant root-finder (see _toric_angles)
 _SYLVESTER_BATCH = 256   # Sylvester matrices per slogdet call
 _RECONSTRUCTION_RTOL = 1e-9
 
@@ -134,7 +137,7 @@ def roots(q: LaurentPoly) -> RootData:
     Strips the monomial factor z^n, then finds all roots of the residual
     polynomial from companion-matrix eigenvalues with one guarded Newton
     polish pass. The factorization is verified by reconstructing the
-    coefficients (1e-9 relative).
+    coefficients (1e-9 relative); IllConditionedError if it fails.
     """
     parsed = _univariate_coeffs(q)
     if parsed is None:
@@ -145,12 +148,7 @@ def roots(q: LaurentPoly) -> RootData:
     if d == 0:
         return RootData(lead, n, ())
 
-    monic = coeffs / lead
-    comp = np.zeros((d, d), dtype=np.complex128)
-    if d > 1:
-        comp[np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, -1] = -monic[:-1]
-    rts = np.linalg.eigvals(comp)
+    rts = kernels.companion_roots(coeffs[None, :])[0]
 
     deriv = coeffs[1:] * np.arange(1, d + 1)
     pv = np.polyval(coeffs[::-1], rts)
@@ -172,7 +170,7 @@ def roots(q: LaurentPoly) -> RootData:
     else:
         err = err_raw
     if err > _RECONSTRUCTION_RTOL:
-        raise ArithmeticError(
+        raise IllConditionedError(
             "root finding failed the reconstruction check; "
             "the input polynomial is too ill-conditioned")
     order = np.lexsort((rts.imag, rts.real))
@@ -341,6 +339,14 @@ def _toric_angles(coefs, inner, outer):
     products over D^2 root pairs, whose range of magnitude around the
     circle can exceed the precision of the coefficients.
 
+    The search costs O(D E^4) for the determinants and O((DE)^3) for a
+    root-finder of size DE (p real) or 2DE (p complex). Above
+    _TORIC_MAX_ROOTS it returns no angles: at that size it takes 10-15 ms
+    on a 2-vCPU VM, under the 25-50 ms of the plain start's 192 or 384
+    kernel nodes of degree D >= 6 (E <= D), while a large bidegree such as
+    1 + x^100 + 3 y^100 would need 20,001 determinants and a root-finder of
+    size 10,000. The l2bench inputs reach DE = 27.
+
     Returns no angles when R vanishes identically (p_phi and its conjugate
     reciprocal share a factor, such as a cyclotomic factor in x alone),
     that is when its samples are not clearly larger than their rounding
@@ -351,7 +357,8 @@ def _toric_angles(coefs, inner, outer):
     powers = (outer - outer.min()).astype(np.int64)
     e = int(powers.max())
     k = int(inner.max()) * e
-    if k == 0:
+    even = not coefs.imag.any()
+    if k == 0 or (k if even else 2 * k) > _TORIC_MAX_ROOTS:
         return np.empty(0)
     n = 2 * k + 1
     grid = 2.0 * np.pi * np.arange(n) / n
@@ -376,25 +383,16 @@ def _toric_angles(coefs, inner, outer):
     if not np.max(np.abs(samples.real)) > _TORIC_SNR * noise:
         return np.empty(0)
 
-    phis = _real_roots(np.fft.rfft(samples.real) / n, noise,
-                       even=not coefs.imag.any())
-    if len(phis) == 0:
-        return np.empty(0)
+    phis = _real_roots(np.fft.rfft(samples.real) / n, noise, even)
 
-    # roots of p_phi at those phis, by companion matrices grouped by degree
+    # roots of p_phi at those phis, stripped and grouped as in the kernel
     rows = kernels.slice_coefficients(coefs, powers, phis[:, None] * inner)
-    mags = np.abs(rows)
-    alive = mags > _STRIP_REL * np.max(mags, axis=1, keepdims=True)
-    degree = np.where(alive.any(axis=1),
-                      e - np.argmax(alive[:, ::-1], axis=1), 0)
     thetas = []
-    for d in np.unique(degree[degree > 0]):
-        block = rows[degree == d, :d + 1]
-        comp = np.zeros((len(block), d, d), dtype=np.complex128)
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] = -block[:, :-1] / block[:, -1:]
-        xs = np.linalg.eigvals(comp).reshape(-1)
-        thetas.extend(np.angle(xs[np.abs(np.abs(xs) - 1.0) <= _TORIC_RADIUS]))
+    for _, block, d in kernels.degree_blocks(rows, np.abs(rows) > _STRIP_REL):
+        if d > 0:
+            xs = kernels.companion_roots(block).reshape(-1)
+            thetas.extend(
+                np.angle(xs[np.abs(np.abs(xs) - 1.0) <= _TORIC_RADIUS]))
     return np.sort(np.mod(thetas, 2.0 * np.pi))
 
 

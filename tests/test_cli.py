@@ -289,11 +289,8 @@ class TestExitCodes:
 
     def test_ill_conditioned_roots(self, quadratic_file, capsys,
                                    monkeypatch):
-        def failing(q):
-            raise ArithmeticError("root finding failed the reconstruction "
-                                  "check")
-
-        monkeypatch.setattr(l2alex.mahler, "roots", failing)
+        # no tolerance passes the reconstruction check of mahler.roots
+        monkeypatch.setattr(l2alex.mahler, "_RECONSTRUCTION_RTOL", -1.0)
         code, out, err = run_cli(["mahler", "--input", quadratic_file],
                                  capsys)
         assert code == 3

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from l2alex import (CohomClass, LaurentPoly, QuadratureBudgetError,
@@ -377,6 +379,56 @@ class TestToricBreaks:
         assert seen == [pytest.approx([2 * math.pi / 3, 4 * math.pi / 3],
                                       abs=1e-12)]
         assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol
+
+    def test_complex_coefficient_breaks(self, monkeypatch):
+        # 1 + x + i y: the slice root -(1 + i y) in x is on the circle
+        # where i y = e^{+-2 pi i / 3}, that is at y = e^{i pi / 6} and
+        # e^{5 i pi / 6}; the mirror images 7 pi / 6 and 11 pi / 6 are not
+        # crossings, since the coefficients are not real
+        seen = recorded_breaks(monkeypatch)
+        rep = mahler_mv_report(P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1j}))
+        assert seen == [pytest.approx([math.pi / 6, 5 * math.pi / 6],
+                                      abs=1e-9)]
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol
+
+    def test_complex_breaks_follow_a_rotation(self, monkeypatch):
+        # (x, y) -> (e^{i a} x, e^{i b} y) moves every crossing of CURVE7
+        # (outer variable x) from theta to theta - a, and the resultant's
+        # roots in the Jensen angle by -b; the rotated polynomial goes
+        # through the complex branch, the original through the real one.
+        # The complex branch puts the two crossings at theta = pi - a
+        # 2.2e-8 apart.
+        seen = recorded_breaks(monkeypatch)
+        a, b = 0.3, 0.7
+        mahler_mv_report(P(2, CURVE7))
+        mahler_mv_report(P(2, {(ex, ey): c * cmath.exp(1j * (a * ex + b * ey))
+                               for (ex, ey), c in CURVE7.items()}))
+        real, rotated = seen
+        assert len(real) >= 2
+        assert rotated == pytest.approx(
+            sorted((b - a) % (2 * math.pi) for b in real), abs=1e-7)
+
+    def test_high_bidegree_takes_no_breaks(self, monkeypatch):
+        # 1 + x^13 y^8 + x^8 y^5 is 1 + u + v under a unimodular monomial
+        # map, so its measure is m(1 + x + y). It has crossings, but
+        # D * E = 104 is above the root-finder cap, so the quadrature
+        # starts from the plain panels and refines around them.
+        seen = recorded_breaks(monkeypatch)
+        rep = mahler_mv_report(P(2, {(0, 0): 1, (13, 8): 1, (8, 5): 1}))
+        assert seen == [[]]
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol
+
+    def test_large_bidegree_skips_the_search(self, monkeypatch):
+        # 1 + x^100 + 3 y^100 would need 20,001 Sylvester determinants and a
+        # root-finder of size 10,000; none of them is computed
+        def refuse(*args):
+            raise AssertionError("a Sylvester determinant was computed")
+
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        angles = mahler_mod._toric_angles(
+            np.array([1, 1, 3], dtype=np.complex128) / 3,
+            np.array([0, 100, 0]), np.array([0.0, 0.0, 100.0]))
+        assert len(angles) == 0
 
     def test_jensen_variable_factor(self, monkeypatch):
         # (1 + y)(1 + x + y): y is the Jensen variable, the slice measure is
