@@ -31,8 +31,7 @@ from .torsion3m import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                         graph_torsion, hexagon_norm_check, symmetry_check,
                         torsion_degree, torsion_from_presentation,
                         triple_figure_eight, triple_figure_eight_torsion)
-from .twist import (CohomClass, exponent_bound, index_rescale, powint,
-                    twist_matrix, twist_poly, twist_poly_multi)
+from .twist import CohomClass, exponent_bound, twist
 
 __version__ = "0.1.0"
 
@@ -49,10 +48,9 @@ __all__ = [
     "ZeroPolynomialError", "asymptote", "chief_part", "convexity_check",
     "det_function", "exponent_bound", "fibered_torsion",
     "geometric_grid", "glue", "graph_torsion", "hexagon_norm_check",
-    "index_rescale", "lipschitz_degree_check", "mahler_1v", "mahler_mv",
-    "mahler_mv_report", "monomial_profile", "powint",
+    "lipschitz_degree_check", "mahler_1v", "mahler_mv",
+    "mahler_mv_report", "monomial_profile",
     "profile_value", "roots", "scaled_mahler_1v", "symmetry_check",
     "torsion_degree", "torsion_from_presentation", "triple_figure_eight",
-    "triple_figure_eight_torsion", "twist_matrix", "twist_poly",
-    "twist_poly_multi",
+    "triple_figure_eight_torsion", "twist",
 ]

@@ -8,7 +8,8 @@ order, so identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie,
 degeneracy or ill-conditioning error. Errors print one line
 "error[kind]: message" to stderr. A --tol that is not a positive finite
-number is refused as error[bad-tol] before any work. A root factorization
+number is refused as error[bad-tol], and a --max-evals below 1 as
+error[bad-budget], before any work. A root factorization
 that fails its reconstruction check (an input too ill-conditioned for
 double precision, IllConditionedError) answers error[ill-conditioned],
 exit 3.
@@ -18,7 +19,8 @@ double precision is refused at parse time as error[bad-matrix], naming
 the entry and the exponent. ``eval`` and ``torsion`` print no row when a value on the grid
 of a function that is not constantly zero exceeds the double range or
 falls below it: they answer error[overflow] or error[underflow], naming
-the first such t, and exit 1.
+the first such t, and exit 1. ``mahler`` answers error[overflow], exit 1,
+for a measure beyond the double range, naming its log.
 """
 
 from __future__ import annotations
@@ -193,6 +195,9 @@ def _cmd_mahler(args, out):
     doc = _read_input(args.input)
     poly = doc.matrix.determinant()
     result = mahler_mv_report(poly, tol=args.tol, max_evals=args.max_evals)
+    if math.isinf(result.measure):
+        raise InputError("overflow", "the measure exceeds the double range "
+                                     "(log_measure %.12g)" % result.log_measure)
     out.write(render_json({"measure": result.measure,
                            "log_measure": result.log_measure,
                            "achieved_tol": result.achieved_tol}) + "\n")
@@ -358,6 +363,9 @@ def main(argv=None) -> int:
         if not (math.isfinite(tol) and tol > 0):
             raise InputError("bad-tol", f"--tol must be a positive finite "
                                         f"number, got {tol!r}")
+        if getattr(args, "max_evals", 1) < 1:
+            raise InputError("bad-budget", f"--max-evals must be a positive "
+                                           f"integer, got {args.max_evals}")
         args.run(args, sys.stdout)
         return _EXIT_OK
     except InputError as exc:

@@ -2,8 +2,13 @@
 
 V(t) is the Mahler measure of the determinant polynomial with every monomial
 z^v rescaled by t^{<sigma, v>}, raised to 1/index for virtually abelian
-targets. It is either constantly zero (zero determinant) or multiplicatively
-convex with all log-log slopes bounded by the exponent bound R of the matrix.
+targets. The rescaling is ``twist.twist`` in several variables and the
+closed form on the cached roots, at log scale log s_1, in one; both work in
+log space, so every t > 0 gives a finite log V(t). The 1/index power of
+values and leading coefficients, and the division of asymptote exponents by
+the index, happen here and nowhere else. V is either constantly zero (zero
+determinant) or multiplicatively convex with all log-log slopes bounded by
+the exponent bound R of the matrix.
 
 With an exact decomposition sigma = sum r_i Phi_i, the two ends are computed
 exactly: group the monomials of p by the integer weight w = Phi v, pick the
@@ -28,7 +33,7 @@ from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
                      log_mahler_mv, roots)
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
-from .twist import CohomClass, exponent_bound
+from .twist import CohomClass, exponent_bound, twist
 
 _TIE_TOL = 1e-9
 _GRID_GEOMETRIC_RTOL = 1e-9
@@ -89,13 +94,6 @@ class DetFunction:
     def is_zero(self) -> bool:
         return self.det_poly.is_zero
 
-    def rescaled(self, index: int) -> "DetFunction":
-        out = DetFunction(self.det_poly, self.cohom,
-                          self.index_divisor * int(index),
-                          self.exp_bound, self.label)
-        out._rootdata = self._rootdata
-        return out
-
     def _roots1v(self) -> RootData:
         if self._rootdata is None:
             self._rootdata = roots(self.det_poly)
@@ -116,12 +114,12 @@ class DetFunction:
         if key in self._eval_cache:
             return self._eval_cache[key]
         if self.det_poly.nvars == 1:
-            s1 = self.cohom.variable_scales(t)[0]
-            logv = log_scaled_mahler_from_roots(self._roots1v(), s1)
+            log_s1 = self.cohom.variable_scales(t)[0]
+            logv = log_scaled_mahler_from_roots(self._roots1v(), log_s1)
         else:
-            twisted = self._twisted_normalized(t)
-            logm, _ = log_mahler_mv(twisted.poly, tol, NodeBudget(max_evals))
-            logv = logm + twisted.log_scale
+            q, log_scale = twist(self.det_poly, self.cohom, t)
+            logm, _ = log_mahler_mv(q, tol, NodeBudget(max_evals))
+            logv = logm + log_scale
         logv /= self.index_divisor
         self._eval_cache[key] = logv
         return logv
@@ -134,26 +132,6 @@ class DetFunction:
             return math.exp(logv)
         except OverflowError:
             return math.inf
-
-    def _twisted_normalized(self, t: float) -> "_NormalizedTwist":
-        """Twisted polynomial with coefficients rescaled to max magnitude 1.
-
-        Factors are assembled in log space from the shared per-variable
-        scales, so enormous |<sigma, v> log t| neither overflows nor loses
-        the relative sizes that the quadrature needs.
-        """
-        scales = self.cohom.variable_scales(t)
-        logs = [math.log(s) for s in scales]
-        entries = []
-        for exp, c in self.det_poly.terms.items():
-            logfac = math.log(abs(c))
-            for ls, e in zip(logs, exp):
-                logfac += ls * e
-            entries.append((exp, c, logfac))
-        top = max(e[2] for e in entries)
-        terms = {exp: (c / abs(c)) * math.exp(logfac - top)
-                 for exp, c, logfac in entries}
-        return _NormalizedTwist(LaurentPoly(self.det_poly.nvars, terms), top)
 
     def asymptote(self, tol: float = 1e-8) -> AsymptoteReport:
         if self.is_zero:
@@ -185,12 +163,6 @@ class DetFunction:
         d_minus = (lw1 - lw2) / (math.log(1 / t1) - math.log(1 / t2))
         c_minus = math.exp(lw2 - d_minus * math.log(1 / t2))
         return AsymptoteReport(d_plus, d_minus, c_plus, c_minus, "numeric-fit")
-
-
-@dataclass(frozen=True)
-class _NormalizedTwist:
-    poly: LaurentPoly
-    log_scale: float
 
 
 def det_function(a: LaurentMatrix, c: CohomClass,

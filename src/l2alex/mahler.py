@@ -195,11 +195,11 @@ def scaled_mahler_from_roots(rd: RootData, c: float) -> float:
     return out
 
 
-def log_scaled_mahler_from_roots(rd: RootData, c: float) -> float:
-    """log of the scaled measure, safe for extreme c."""
-    out = math.log(abs(rd.leading)) + rd.power * math.log(c)
+def log_scaled_mahler_from_roots(rd: RootData, log_c: float) -> float:
+    """log M(p(c z)) from log c, so c itself may lie outside the doubles."""
+    out = math.log(abs(rd.leading)) + rd.power * log_c
     for b in rd.roots:
-        out += math.log(max(c, abs(b)))
+        out += max(log_c, math.log(abs(b)))
     return out
 
 
@@ -277,13 +277,24 @@ def mahler_mv(p: LaurentPoly, tol: float = 1e-8,
 
 def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
                      max_evals: int = DEFAULT_NODE_BUDGET) -> MahlerResult:
-    """Same as mahler_mv, also reporting the achieved quadrature tolerance."""
+    """Same as mahler_mv, also reporting the achieved quadrature tolerance.
+
+    A measure beyond the double range saturates to inf; its log_measure
+    stays finite.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be a positive integer, "
+                         f"got {max_evals!r}")
     if p.is_zero:
         return MahlerResult(0.0, -math.inf, 0.0)
     log_measure, achieved = log_mahler_mv(p, tol, NodeBudget(max_evals))
-    return MahlerResult(math.exp(log_measure), log_measure, achieved)
+    try:
+        measure = math.exp(log_measure)
+    except OverflowError:
+        measure = math.inf
+    return MahlerResult(measure, log_measure, achieved)
 
 
 def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
@@ -296,7 +307,7 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
         c = next(iter(reduced.terms.values()))
         return math.log(abs(c)), 0.0
     if reduced.nvars == 1:
-        return math.log(mahler_1v(reduced)), 0.0
+        return log_scaled_mahler_from_roots(roots(reduced), 0.0), 0.0
 
     exps = np.array(sorted(reduced.terms), dtype=np.int64)
     coefs = np.array([reduced.terms[tuple(e)] for e in exps],

@@ -91,11 +91,15 @@ class TorsionFunction:
 
 
 class PresentationTorsion(TorsionFunction):
-    def __init__(self, numerator: DetFunction, pairs, index_divisor: int = 1,
-                 label: str = ""):
+    """tau(t) = V(t) * prod_i max(t^{a_i}, t^{b_i})^{-1}.
+
+    The index is already inside: V carries the 1/index power, and the pairs
+    are the presentation's divided by the index.
+    """
+
+    def __init__(self, numerator: DetFunction, pairs, label: str = ""):
         self.numerator = numerator
         self.pairs = tuple((float(a), float(b)) for a, b in pairs)
-        self.index_divisor = int(index_divisor)
         self.label = label
 
     @property
@@ -113,7 +117,7 @@ class PresentationTorsion(TorsionFunction):
         for a, b in self.pairs:
             logv -= max(a * lt, b * lt)
         try:
-            return math.exp(logv / self.index_divisor)
+            return math.exp(logv)
         except OverflowError:
             return math.inf
 
@@ -123,10 +127,8 @@ class PresentationTorsion(TorsionFunction):
         base = self.numerator.asymptote(tol)
         d_plus = base.d_plus - sum(max(a, b) for a, b in self.pairs)
         d_minus = base.d_minus - sum(min(a, b) for a, b in self.pairs)
-        k = self.index_divisor
-        return AsymptoteReport(d_plus / k, d_minus / k,
-                               base.C_plus ** (1.0 / k),
-                               base.C_minus ** (1.0 / k), base.method)
+        return AsymptoteReport(d_plus, d_minus, base.C_plus, base.C_minus,
+                               base.method)
 
 
 class FiberedTorsion(TorsionFunction):
@@ -232,8 +234,10 @@ def torsion_from_presentation(spec: TorsionSpec) -> PresentationTorsion:
     A constantly-zero determinant yields the zero torsion function (the
     conventional value 0 everywhere), flagged via ``zero_function``.
     """
-    numerator = det_function(spec.matrix, spec.cohom, index_divisor=1)
-    return PresentationTorsion(numerator, spec.pairs, spec.index_divisor,
+    k = spec.index_divisor
+    numerator = det_function(spec.matrix, spec.cohom, index_divisor=k)
+    return PresentationTorsion(numerator,
+                               [(a / k, b / k) for a, b in spec.pairs],
                                spec.label)
 
 

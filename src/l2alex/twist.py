@@ -13,17 +13,22 @@ d = 1 decomposition itself via continued fractions (denominators <= 10^6);
 irrational classes must bring their own, or degree analysis falls back to
 numeric fitting.
 
-All twisted coefficient scales are produced by one shared routine
-(``variable_scales``) built from powers of the per-basis values t^{r_i}, so
-algebraic identities between twists (scaling sigma vs. powering t) hold to
-the last bit wherever the underlying float powers coincide.
+The one twist routine, ``twist``, works in log space: it returns the twisted
+polynomial divided by its largest coefficient magnitude, together with the
+log of that magnitude, so no t > 0 overflows or underflows it. Its
+per-variable log scales come from one shared routine (``variable_scales``):
+the log of the double prod_i (t^{r_i})^{Phi_ij} while that double is in
+range, and sigma_j log t beyond it. Hence the scaling identity
+twist(p, sigma.scaled(c), t) == twist(p, sigma, t**c) holds to the last bit,
+in both the polynomial and the log scale, wherever the underlying float
+powers coincide.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ZeroMatrixError
 from .laurent import LaurentMatrix, LaurentPoly
@@ -33,7 +38,7 @@ _RATIONAL_ABS_TOL = 1e-12
 _DECOMP_REL_TOL = 1e-12
 
 
-def powint(s: float, m: int) -> float:
+def _powint(s: float, m: int) -> float:
     """s^m for integer m, with negative powers routed through 1/s.
 
     Routing m < 0 through (1/s)^{-m} makes the twist-at-1/t and the
@@ -136,32 +141,30 @@ class CohomClass:
         return self.scaled(-1.0)
 
     def variable_scales(self, t: float) -> tuple:
-        """Per-variable scale s_j with twist factor prod_j s_j^{v_j}.
+        """log s_j of the per-variable scales: the twist factor of z^v is
+        prod_j s_j^{v_j}.
 
-        With a decomposition, s_j = prod_i (t^{r_i})^{Phi_ij}; otherwise
-        s_j = t^{sigma_j} directly.
+        s_j is the double prod_i (t^{r_i})^{Phi_ij} with a decomposition and
+        t^{sigma_j} without. Where it is positive and finite, log s_j is its
+        log, so twists that build the same double share log s_j bit for bit;
+        where it leaves the double range, log s_j = sigma_j log t.
         """
         if t <= 0:
             raise ValueError("twist parameter t must be positive")
-        if self.has_decomposition:
-            return self.variable_scales_multi(tuple(t ** ri for ri in self.r))
-        return tuple(t ** s for s in self.sigma)
-
-    def variable_scales_multi(self, tvec: Sequence[float]) -> tuple:
-        if not self.has_decomposition:
-            raise ValueError("multivariable twist needs a decomposition")
-        tvec = tuple(float(x) for x in tvec)
-        if len(tvec) != self.d:
-            raise ValueError(f"expected {self.d} parameters, got {len(tvec)}")
-        if any(x <= 0 for x in tvec):
-            raise ValueError("twist parameters must be positive")
-        scales = []
-        for j in range(self.nvars):
-            s = 1.0
-            for i in range(self.d):
-                s *= powint(tvec[i], self.phi[i][j])
-            scales.append(s)
-        return tuple(scales)
+        out = []
+        for j, sigma_j in enumerate(self.sigma):
+            try:
+                if self.has_decomposition:
+                    s = 1.0
+                    for ri, row in zip(self.r, self.phi):
+                        s *= _powint(t ** ri, row[j])
+                else:
+                    s = t ** sigma_j
+            except (OverflowError, ZeroDivisionError):
+                s = math.inf
+            out.append(math.log(s) if 0.0 < s < math.inf
+                       else sigma_j * math.log(t))
+        return tuple(out)
 
     # -- serialization -----------------------------------------------------
 
@@ -192,52 +195,32 @@ def _rational_decomposition(sigma):
     return (1.0 / lcm,), (row,)
 
 
-def _twist_terms(p: LaurentPoly, scales: Sequence[float]) -> dict:
-    out = {}
-    for exp, c in p.terms.items():
-        factor = 1.0
-        for s, e in zip(scales, exp):
-            factor *= powint(s, e)
-        out[exp] = c * factor
-    return out
+def twist(p: LaurentPoly, c: CohomClass, t: float):
+    """(q, log_scale): p twisted at t equals exp(log_scale) * q.
 
-
-def twist_poly(p: LaurentPoly, c: CohomClass, t: float) -> LaurentPoly:
-    """Scale each monomial a * z^v by t^{<sigma, v>} (exponents unchanged)."""
-    if t <= 0:
-        raise ValueError("twist parameter t must be positive")
-    if p.nvars != c.nvars:
-        raise ValueError(
-            f"polynomial has {p.nvars} variables, class has {c.nvars}")
-    certified = p.integer_certified and t == 1.0
-    return LaurentPoly(p.nvars, _twist_terms(p, c.variable_scales(t)), certified)
-
-
-def twist_poly_multi(p: LaurentPoly, c: CohomClass,
-                     tvec: Sequence[float]) -> LaurentPoly:
-    """Multiparameter twist: a * z^v scaled by prod_i t_i^{(Phi v)_i}.
-
-    At tvec = (t^{r_1}, ..., t^{r_d}) this reproduces twist_poly(p, c, t)
-    exactly (twist_poly routes through the same factors).
+    The twist scales each monomial a * z^v by t^{<sigma, v>}. q keeps the
+    exponents, and its coefficients are the twisted ones divided by the
+    largest in magnitude, so max |coef| of q is 1. Every factor is summed in
+    log space from ``variable_scales``, so an enormous |<sigma, v> log t|
+    neither overflows nor loses the relative sizes the quadrature needs.
+    The zero polynomial gives (0, -inf).
     """
     if p.nvars != c.nvars:
         raise ValueError(
             f"polynomial has {p.nvars} variables, class has {c.nvars}")
-    scales = c.variable_scales_multi(tvec)
-    certified = p.integer_certified and all(x == 1.0 for x in tvec)
-    return LaurentPoly(p.nvars, _twist_terms(p, scales), certified)
-
-
-def twist_matrix(a: LaurentMatrix, c: CohomClass, t: float) -> LaurentMatrix:
-    rows = [[twist_poly(p, c, t) for p in row] for row in a.rows]
-    return LaurentMatrix(rows, nvars=a.nvars) if rows else a
-
-
-def support_weight_range(support: Iterable[tuple], c: CohomClass):
-    weights = [c.weight(v) for v in support]
-    if not weights:
-        return None
-    return min(weights), max(weights)
+    logs = c.variable_scales(t)
+    if p.is_zero:
+        return p, -math.inf
+    entries = []
+    for exp, a in p.terms.items():
+        logfac = math.log(abs(a))
+        for ls, e in zip(logs, exp):
+            logfac += ls * e
+        entries.append((exp, a, logfac))
+    top = max(e[2] for e in entries)
+    terms = {exp: (a / abs(a)) * math.exp(logfac - top)
+             for exp, a, logfac in entries}
+    return LaurentPoly(p.nvars, terms), top
 
 
 def exponent_bound(a: LaurentMatrix, c: CohomClass) -> float:
@@ -249,20 +232,9 @@ def exponent_bound(a: LaurentMatrix, c: CohomClass) -> float:
     """
     if a.nvars != c.nvars:
         raise ValueError(f"matrix has {a.nvars} variables, class has {c.nvars}")
-    rng = support_weight_range(a.support_union(), c)
-    if rng is None:
+    weights = [c.weight(v) for v in a.support_union()]
+    if not weights:
         raise ZeroMatrixError(
             "exponent bound undefined for the zero matrix "
             "(determinant function is constantly zero)")
-    return a.size * (rng[1] - rng[0])
-
-
-def index_rescale(v, index: int):
-    """Determinant function of a finite-index restriction: V^(1/index).
-
-    Pointwise 1/index power; asymptote exponents divide by index and leading
-    coefficients take 1/index powers.
-    """
-    if int(index) != index or index < 1:
-        raise ValueError("index must be a positive integer")
-    return v.rescaled(int(index))
+    return a.size * (max(weights) - min(weights))

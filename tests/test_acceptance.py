@@ -20,7 +20,7 @@ from l2alex import (CohomClass, LaurentMatrix, LaurentPoly,
                     lipschitz_degree_check, mahler_1v, mahler_mv,
                     symmetry_check, torsion_degree, torsion_from_presentation,
                     triple_figure_eight, triple_figure_eight_torsion,
-                    twist_poly, FiberedTorsion)
+                    twist, FiberedTorsion)
 from l2alex.kernels import KERNEL_BACKEND
 
 from conftest import (random_int_matrix, random_int_poly,
@@ -169,9 +169,10 @@ def test_criterion_7_symmetry_and_scaling():
         a = LaurentMatrix([[QUADRATIC]])
         for c in (2.0, -1.0, 1.0 / 3.0):
             for t in (0.37, 0.5, 2.0, 5.0):
-                twisted_a = twist_poly(QUADRATIC, sigma.scaled(c), t)
-                twisted_b = twist_poly(QUADRATIC, sigma, t ** c)
-                assert twisted_a.terms == twisted_b.terms  # byte-identical
+                qa, scale_a = twist(QUADRATIC, sigma.scaled(c), t)
+                qb, scale_b = twist(QUADRATIC, sigma, t ** c)
+                assert qa.terms == qb.terms  # byte-identical
+                assert scale_a == scale_b
             va = det_function(a, sigma.scaled(c))
             vb = det_function(a, sigma)
             for t in (0.37, 2.0, 5.0):

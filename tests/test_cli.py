@@ -65,6 +65,35 @@ LARGE_PIVOTS_DOC = json.dumps({
 })
 
 
+# 1 - 3z + z^2 at sigma = [3], and 1 + x + y at sigma = [3, 1]: t^3 leaves
+# the double range on the extreme grids of TestExtremeT
+STEEP_DOCS = {
+    "1v": json.dumps({
+        "variables": ["z"],
+        "matrix": [[[{"exp": [e], "re": c} for e, c in
+                     ((0, 1), (1, -3), (2, 1))]]],
+        "class": {"sigma": [3]},
+    }),
+    "2v": json.dumps({
+        "variables": ["x", "y"],
+        "matrix": [[[{"exp": list(e), "re": 1} for e in
+                     ((0, 0), (1, 0), (0, 1))]]],
+        "class": {"sigma": [3, 1]},
+    }),
+}
+
+
+def scaled_doc(terms, scale):
+    """A 1x1 document of scale * p, p given as {exponent tuple: coeff}."""
+    nvars = len(next(iter(terms)))
+    return json.dumps({
+        "variables": [f"z{j}" for j in range(nvars)],
+        "matrix": [[[{"exp": list(e), "re": scale * c}
+                     for e, c in terms.items()]]],
+        "class": {"sigma": [1] * nvars},
+    })
+
+
 def entry_doc(terms):
     """A 2x2 diagonal document: 1 and the terms (raw JSON) at entry [1][1]."""
     return ('{"variables":["z"],"class":{"sigma":[1]},"matrix":'
@@ -287,6 +316,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error[bad-tol]:")
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_bad_budget_refused(self, smyth_file, capsys, budget):
+        code, out, err = run_cli(
+            ["mahler", "--input", smyth_file, "--max-evals", budget], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[bad-budget]:")
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1, (1,): 1, (2,): -1}, {(0, 0): 1, (1, 0): 1, (0, 1): 1}],
+        ids=["1v", "2v"])
+    def test_measure_overflow_is_refused(self, tmp_path, capsys, terms):
+        # measures ~2.4e308 and ~2.1e308: no "inf" row and no traceback
+        path = tmp_path / "huge.json"
+        path.write_text(scaled_doc(terms, 1.5e308))
+        code, out, err = run_cli(["mahler", "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[overflow]:")
+
     def test_ill_conditioned_roots(self, quadratic_file, capsys,
                                    monkeypatch):
         # no tolerance passes the reconstruction check of mahler.roots
@@ -403,6 +452,31 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(["degree", "--input", str(path)], capsys)
         assert code == 3
+
+
+class TestExtremeT:
+    @pytest.mark.parametrize("doc", sorted(STEEP_DOCS))
+    @pytest.mark.parametrize("command", ["eval", "torsion"])
+    def test_tiny_t_gives_ones(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "steep.json"
+        path.write_text(STEEP_DOCS[doc])
+        code, out, err = run_cli(
+            [command, "--input", str(path), "--t-grid", "1e-120:1e-100:3"],
+            capsys)
+        assert code == 0, err
+        assert out == "t,value\n1e-120,1\n1e-110,1\n1e-100,1\n"
+
+    @pytest.mark.parametrize("doc", sorted(STEEP_DOCS))
+    @pytest.mark.parametrize("command", ["eval", "torsion"])
+    def test_huge_t_overflows(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "steep.json"
+        path.write_text(STEEP_DOCS[doc])
+        code, out, err = run_cli(
+            [command, "--input", str(path), "--t-grid", "1e100:1e120:3"],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[overflow]:")
 
 
 def test_import_leaves_fft_unloaded():

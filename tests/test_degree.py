@@ -95,6 +95,18 @@ class TestDetFunction:
                                      rel=1e-9)
         assert v.eval(1e6) == math.inf
 
+    @pytest.mark.parametrize("t, log_c, d", [(1e-300, 0.0, 0.0),
+                                             (1e300, 0.0, 6.0)],
+                             ids=["tiny", "huge"])
+    def test_extreme_t_follows_the_asymptote(self, t, log_c, d):
+        # t^3 is outside the doubles at both t; log V = log C + d log t
+        # there, with C = 1 at both ends and d = 0, 6
+        v = quadratic_fn(3.0)
+        logv = v.log_eval(t)
+        assert math.isfinite(logv)
+        assert logv == pytest.approx(log_c + d * math.log(t), abs=1e-12,
+                                     rel=1e-12)
+
 
 class TestChiefPart:
     def test_univariate_ends(self):

@@ -7,7 +7,7 @@ import pytest
 from l2alex import (CohomClass, LaurentPoly, QuadratureBudgetError,
                     ZeroPolynomialError, mahler_1v, mahler_mv,
                     mahler_mv_report, monomial_profile, profile_value, roots,
-                    scaled_mahler_1v, twist_poly)
+                    scaled_mahler_1v, twist)
 from l2alex import kernels as kernel_mod
 from l2alex import mahler as mahler_mod
 from l2alex.mahler import log_mahler_mv
@@ -309,6 +309,26 @@ class TestMahlerMV:
         with pytest.raises(ValueError, match="tol"):
             mahler_mv_report(P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), tol)
 
+    @pytest.mark.parametrize("max_evals", [0, -5])
+    def test_bad_budget_refused(self, max_evals):
+        with pytest.raises(ValueError, match="max_evals"):
+            mahler_mv_report(P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}),
+                             max_evals=max_evals)
+
+    @pytest.mark.parametrize("terms, log_m", [
+        ({(0,): 1, (1,): 1, (2,): -1}, math.log((1 + math.sqrt(5)) / 2)),
+        ({(0, 0): 1, (1, 0): 1, (0, 1): 1}, 0.32306594721945051)],
+        ids=["1v", "2v"])
+    def test_measure_beyond_double_range_saturates(self, terms, log_m):
+        # 1.5e308 (1 + z - z^2) has M ~ 2.43e308, 1.5e308 (1 + x + y)
+        # ~ 2.07e308; the log stays finite and exact
+        p = P(len(next(iter(terms))),
+              {e: 1.5e308 * c for e, c in terms.items()})
+        rep = mahler_mv_report(p)
+        assert rep.measure == math.inf
+        assert rep.log_measure == pytest.approx(math.log(1.5e308) + log_m,
+                                                rel=1e-12)
+
 
 # Determinants of two l2bench curves2v inputs (seed 1), hard-coded. The
 # reference log-measures come from 30-digit slice roots (mpmath) integrated
@@ -361,15 +381,16 @@ class TestToricBreaks:
         # disagreed by 4.6e-8 at tol 1e-12, each reporting ~1e-13.
         t = 0.25 * 16 ** (2 / 7)
         moved = {(-ex, 3 * ex + ey): c for (ex, ey), c in CURVE7.items()}
-        reps = [mahler_mv_report(twist_poly(P(2, terms), CohomClass(sigma),
-                                            t), tol)
-                for terms, sigma in ((CURVE7, (-3, -1)), (moved, (0, -1)))]
-        assert abs(reps[0].log_measure - reps[1].log_measure) <= \
-            reps[0].achieved_tol + reps[1].achieved_tol
-        for rep in reps:
-            assert rep.log_measure == pytest.approx(-0.50630451242,
-                                                    abs=rep.achieved_tol
-                                                    + 1e-11)
+        logs, tols = [], []
+        for terms, sigma in ((CURVE7, (-3, -1)), (moved, (0, -1))):
+            q, log_scale = twist(P(2, terms), CohomClass(sigma), t)
+            rep = mahler_mv_report(q, tol)
+            logs.append(rep.log_measure + log_scale)
+            tols.append(rep.achieved_tol)
+        assert abs(logs[0] - logs[1]) <= tols[0] + tols[1]
+        for logv, achieved in zip(logs, tols):
+            assert logv == pytest.approx(-0.50630451242,
+                                         abs=achieved + 1e-11)
 
     def test_smyth_breaks(self, monkeypatch):
         # the slice 1 + y + x in x has its root -(1 + y) on the circle

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2alex import (CohomClass, DetFunction, LaurentMatrix, LaurentPoly,
-                    ZeroMatrixError, exponent_bound, index_rescale,
-                    twist_matrix, twist_poly, twist_poly_multi)
+                    ZeroMatrixError, exponent_bound, twist)
 
 from conftest import random_int_matrix, random_int_poly
 
@@ -59,22 +58,30 @@ class TestCohomClass:
 
 class TestTwistPoly:
     def test_monomial_scaling(self):
-        got = twist_poly(P(1, {(2,): 1}), CohomClass([1.0]), 10.0)
-        assert got == LaurentPoly(1, {(2,): 100.0}, integer_certified=False)
-        assert got.terms[(2,)] == 100.0
+        q, log_scale = twist(P(1, {(2,): 1}), CohomClass([1.0]), 10.0)
+        assert q.terms == {(2,): 1.0}
+        assert log_scale == 2.0 * math.log(10.0)
 
     def test_t_one_is_identity(self):
+        # up to the normalization: q = p / 3, log_scale = log 3
         p = P(2, {(1, -2): 3, (0, 0): -1})
-        assert twist_poly(p, CohomClass([0.5, 2.0]), 1.0) == p
-        assert twist_poly(p, CohomClass([0.5, 2.0]), 1.0).integer_certified
-
-    def test_certification_lost(self):
-        p = P(1, {(1,): 1})
-        assert not twist_poly(p, CohomClass([1.0]), 10.0).integer_certified
+        q, log_scale = twist(p, CohomClass([0.5, 2.0]), 1.0)
+        assert log_scale == math.log(3.0)
+        assert q.terms[(1, -2)] == 1.0
+        assert q.terms[(0, 0)] == pytest.approx(-1.0 / 3.0, rel=1e-15)
 
     def test_nonpositive_t_rejected(self):
         with pytest.raises(ValueError):
-            twist_poly(P(1, {(1,): 1}), CohomClass([1.0]), 0.0)
+            twist(P(1, {(1,): 1}), CohomClass([1.0]), 0.0)
+
+    def test_extreme_t_stays_finite(self):
+        # t^3 leaves the double range at both t; the log scale does not
+        p = P(1, {(0,): 1, (1,): -3, (2,): 1})
+        for t in (1e-120, 1e120):
+            q, log_scale = twist(p, CohomClass([3.0]), t)
+            assert log_scale == pytest.approx(max(0.0, 6 * math.log(t)),
+                                              rel=1e-15)
+            assert max(abs(c) for c in q.terms.values()) == 1.0
 
     @given(int_polys(1), st.sampled_from([0.3, 0.7, 2.0, 5.0]),
            st.sampled_from([0.5, 2.0, 3.0]))
@@ -82,75 +89,41 @@ class TestTwistPoly:
     def test_composition_is_product(self, p, t, s):
         # twisting at t then at s equals twisting at s * t
         c = CohomClass([1.0])
-        twice = twist_poly(twist_poly(p, c, t), c, s)
-        once = twist_poly(p, c, s * t)
+        q_t, ls_t = twist(p, c, t)
+        twice, ls_s = twist(q_t, c, s)
+        once, ls_st = twist(p, c, s * t)
         assert set(twice.terms) == set(once.terms)
         for e, v in once.terms.items():
             assert twice.terms[e] == pytest.approx(v, rel=1e-12)
+        assert ls_t + ls_s == pytest.approx(ls_st, rel=1e-12, abs=1e-12)
 
     def test_scaling_identity_bitwise(self):
         p = P(1, {(2,): 1, (1,): -3, (0,): 1})
         sigma = CohomClass([1.0])
         for c in (2.0, -1.0, 1.0 / 3.0):
             for t in (0.37, 0.5, 2.0, 5.0):
-                a = twist_poly(p, sigma.scaled(c), t)
-                b = twist_poly(p, sigma, t ** c)
-                assert a.terms == b.terms
+                qa, la = twist(p, sigma.scaled(c), t)
+                qb, lb = twist(p, sigma, t ** c)
+                assert qa.terms == qb.terms
+                assert la == lb
 
     def test_anti_commutation(self, rng):
-        # twist then involution == involution then twist at 1/t; identical
-        # up to the final rounding of the power factors
-        for t in (0.3, 1.0, 7.0):
-            for _ in range(5):
-                p = random_int_poly(rng, 2)
-                c = CohomClass([1.0, 2.0])
-                lhs = twist_poly(p, c, t).involution()
-                rhs = twist_poly(p.involution(), c, 1.0 / t)
-                assert set(lhs.terms) == set(rhs.terms)
-                for e, v in lhs.terms.items():
-                    assert rhs.terms[e] == pytest.approx(v, rel=1e-13)
-
-    def test_anti_commutation_exact_unit_weights(self, rng):
-        # with 0/1 weights the power factors agree bit for bit
-        for t in (0.3, 1.0, 7.0):
-            for _ in range(5):
-                p = random_int_poly(rng, 2)
-                c = CohomClass([1.0, 1.0])
-                lhs = twist_poly(p, c, t).involution()
-                rhs = twist_poly(p.involution(), c, 1.0 / t)
-                assert lhs.terms == rhs.terms
-
-
-class TestTwistMulti:
-    def test_reproduces_single_parameter(self):
-        p = P(2, {(1, 1): 2, (1, 0): 1, (0, 0): 3})
-        c = CohomClass([1.0, math.sqrt(2)], r=[1.0, math.sqrt(2)],
-                       phi=[[1, 0], [0, 1]])
-        for t in (0.3, 1.0, 7.0):
-            tvec = tuple(t ** ri for ri in c.r)
-            assert twist_poly_multi(p, c, tvec).terms == \
-                twist_poly(p, c, t).terms
-
-    def test_all_ones_is_identity(self):
-        p = P(2, {(1, 1): 2, (0, 1): -1})
-        c = CohomClass([1.0, 1.0], r=[1.0], phi=[[1, 1]])
-        assert twist_poly_multi(p, c, (1.0,)) == p
-
-    def test_product_scaling(self):
-        p = P(2, {(1, 1): 1})
-        c = CohomClass([1.0, 1.0], r=[1.0, 1.0], phi=[[1, 0], [0, 1]])
-        got = twist_poly_multi(p, c, (2.0, 3.0))
-        assert got.terms == {(1, 1): 6.0 + 0j}
-
-    def test_requires_decomposition(self):
-        with pytest.raises(ValueError):
-            twist_poly_multi(P(1, {(1,): 1}), CohomClass([math.sqrt(2)]),
-                             (2.0,))
-
-    def test_dimension_mismatch(self):
-        c = CohomClass([1.0], r=[1.0], phi=[[1]])
-        with pytest.raises(ValueError):
-            twist_poly_multi(P(1, {(1,): 1}), c, (2.0, 3.0))
+        # twist then involution == involution then twist at 1/t, up to the
+        # rounding of the log-space factors; with 0/1 weights too, where
+        # the power factors themselves agree bit for bit
+        for weights in ((1.0, 2.0), (1.0, 1.0)):
+            c = CohomClass(weights)
+            for t in (0.3, 1.0, 7.0):
+                for _ in range(5):
+                    p = random_int_poly(rng, 2)
+                    q, lhs_scale = twist(p, c, t)
+                    lhs = q.involution()
+                    rhs, rhs_scale = twist(p.involution(), c, 1.0 / t)
+                    assert set(lhs.terms) == set(rhs.terms)
+                    for e, v in lhs.terms.items():
+                        assert rhs.terms[e] == pytest.approx(v, rel=1e-13)
+                    assert rhs_scale == pytest.approx(lhs_scale, rel=1e-13,
+                                                      abs=1e-15)
 
 
 class TestExponentBound:
@@ -189,36 +162,26 @@ class TestExponentBound:
 
 
 class TestIndexRescale:
-    def _quartic(self):
+    def _quartic(self, index=1):
         one_minus_z = P(1, {(0,): 1, (1,): -1})
         p = one_minus_z
         for _ in range(3):
             p = p * one_minus_z
-        return DetFunction(p, CohomClass([1.0]))
+        return DetFunction(p, CohomClass([1.0]), index_divisor=index)
 
     def test_index_one_identity(self):
         v = self._quartic()
-        assert index_rescale(v, 1).eval(3.0) == v.eval(3.0)
+        assert self._quartic(1).eval(3.0) == v.eval(3.0)
 
     def test_exponent_halving(self):
-        v2 = index_rescale(self._quartic(), 2)
+        v2 = self._quartic(2)
         assert v2.eval(3.0) == pytest.approx(9.0, rel=1e-12)
         assert v2.eval(0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_degree_rescaled(self):
-        assert index_rescale(self._quartic(), 2).asymptote().deg_b == \
+        assert self._quartic(2).asymptote().deg_b == \
             pytest.approx(2.0, abs=1e-12)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            index_rescale(self._quartic(), 0)
-
-
-class TestTwistMatrix:
-    def test_entrywise(self, rng):
-        a = random_int_matrix(rng, 2, 1, nonsingular=False)
-        c = CohomClass([1.0])
-        got = twist_matrix(a, c, 2.0)
-        for i in range(2):
-            for j in range(2):
-                assert got.entry(i, j) == twist_poly(a.entry(i, j), c, 2.0)
+            self._quartic(0)
