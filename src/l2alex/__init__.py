@@ -7,8 +7,9 @@ assembly for 3-manifold presentations and closed-form families
 (``torsion3m``), and a CLI (``cli``).
 
 The quadrature's slice kernel (``kernels``) is numpy: closed forms up to
-degree 2, batched companion-matrix eigenvalues above. ``KERNEL_BACKEND``
-names it.
+degree 2, a lockstep Aberth-Ehrlich iteration above, with companion-matrix
+eigenvalues for slices still running at its iteration cap.
+``KERNEL_BACKEND`` names it.
 """
 
 from .degree import (AsymptoteReport, ConvexityReport, DetFunction,

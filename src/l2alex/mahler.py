@@ -150,14 +150,17 @@ def roots(q: LaurentPoly) -> RootData:
 
     rts = kernels.companion_roots(coeffs[None, :])[0]
 
-    deriv = coeffs[1:] * np.arange(1, d + 1)
-    pv = np.polyval(coeffs[::-1], rts)
+    # polish on coefficients scaled to max |c| = 1 (same roots), so that
+    # coefficients near the top of the double range cannot overflow polyval
+    unit = coeffs / np.max(np.abs(coeffs))
+    deriv = unit[1:] * np.arange(1, d + 1)
+    pv = np.polyval(unit[::-1], rts)
     dv = np.polyval(deriv[::-1], rts)
     ok = np.abs(dv) > 0
     step = np.zeros_like(rts)
     step[ok] = pv[ok] / dv[ok]
     polished = np.where(
-        np.abs(np.polyval(coeffs[::-1], rts - step)) <= np.abs(pv),
+        np.abs(np.polyval(unit[::-1], rts - step)) <= np.abs(pv),
         rts - step, rts)
 
     # Newton improves simple roots but skews root clusters (multiple roots),

@@ -489,3 +489,20 @@ def test_import_leaves_fft_unloaded():
          "import sys, l2alex.cli; print('numpy.fft' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_huge_coefficients_print_only_the_error(tmp_path):
+    # the root polish must not overflow numpy (a RuntimeWarning on stderr)
+    # when the coefficients are near the top of the double range
+    path = tmp_path / "huge.json"
+    path.write_text(scaled_doc({(0,): 1, (1,): 1, (2,): -1}, 1.5e308))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(l2alex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "l2alex.cli", "mahler", "--input", str(path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[overflow]:")
