@@ -16,11 +16,16 @@ exit 3.
 A matrix entry with a non-integer exponent, a non-finite coefficient, or
 a coefficient too small beside the entry's largest one to be kept in
 double precision is refused at parse time as error[bad-matrix], naming
-the entry and the exponent. ``eval`` and ``torsion`` print no row when a value on the grid
+the entry and the exponent. A class with a non-finite sigma or r entry,
+or an r and phi that do not reproduce sigma, answers error[bad-class]; a
+pair with a non-finite value answers error[bad-pairs]. ``eval`` and
+``torsion`` print no row when a value on the grid
 of a function that is not constantly zero exceeds the double range or
 falls below it: they answer error[overflow] or error[underflow], naming
 the first such t, and exit 1. ``mahler`` answers error[overflow], exit 1,
-for a measure beyond the double range, naming its log.
+for a measure beyond the double range, naming its log, and ``degree``
+answers it for a report with a field beyond the double range, naming the
+field.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def parse_input(text: str) -> InputDocument:
         raise InputError("bad-class", '"class" must be an object with "sigma"')
     try:
         cohom = CohomClass.from_obj(cls)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("bad-class", f"class does not parse: {exc}")
     if cohom.nvars != nvars:
         raise InputError(
@@ -103,6 +108,8 @@ def parse_input(text: str) -> InputDocument:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not all(isinstance(x, (int, float)) for x in item)):
             raise InputError("bad-pairs", f"pair {item!r} is not [a, b]")
+        if not all(abs(x) <= sys.float_info.max for x in item):
+            raise InputError("bad-pairs", f"pair {item!r} is not finite")
         done.append((float(item[0]), float(item[1])))
 
     index = obj.get("index_divisor", 1)
@@ -213,7 +220,12 @@ def _cmd_eval(args, out):
 def _cmd_degree(args, out):
     doc = _read_input(args.input)
     fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
-    out.write(render_json(fn.asymptote(args.tol).to_obj()) + "\n")
+    report = fn.asymptote(args.tol).to_obj()
+    for key, value in report.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError("overflow", f"{key} is {value}, beyond the "
+                                         f"double range")
+    out.write(render_json(report) + "\n")
 
 
 def _cmd_convexity(args, out):

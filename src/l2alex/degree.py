@@ -10,17 +10,16 @@ the index, happen here and nowhere else. V is either constantly zero (zero
 determinant) or multiplicatively convex with all log-log slopes bounded by
 the exponent bound R of the matrix.
 
-With an exact decomposition sigma = sum r_i Phi_i, the two ends are computed
-exactly: group the monomials of p by the integer weight w = Phi v, pick the
-group maximizing <r, w> (minimizing, for t -> 0+), and the function satisfies
+Both ends are exact for every real class: the monomials of p of largest
+weight d = max <sigma, v> (smallest, for t -> 0+) form the face q, and
 
-    log V(t) = log M(q_w) + <r, w> log t + o(1),
+    log V(t) = log M(q) + d log t + o(1).
 
-so the asymptote exponent is <r, w> and the leading coefficient is M(q_w),
-the Mahler measure of the extremal group ("chief part"). For integer
-determinant polynomials the chief parts are integer polynomials, so both
-leading coefficients are >= 1. Without a decomposition the ends fall back to
-two-point log-log fits at t = 10^{+-4}, 10^{+-6}.
+A decomposition sigma = sum r_i Phi_i weighs v by the integer w = Phi v, with
+d = <r, w>; without one the weight is the float <sigma, v>. For integer
+determinant polynomials the faces ("chief parts") are integer polynomials,
+so both leading coefficients are >= 1. An exponent beyond the double range
+is reported as +-inf.
 """
 
 from __future__ import annotations
@@ -33,11 +32,13 @@ from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
                      log_mahler_mv, roots)
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
-from .twist import CohomClass, exponent_bound, twist
+from .twist import CohomClass, dot, exponent_bound, twist
 
 _TIE_TOL = 1e-9
+# <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|: float weights of
+# two faces closer than this fraction of it are a tie
+_FACE_TIE_RTOL = 2.0 ** -40
 _GRID_GEOMETRIC_RTOL = 1e-9
-_FIT_ANCHORS = (1e4, 1e6)
 
 END_PLUS = "+inf"
 END_MINUS = "0+"
@@ -49,8 +50,9 @@ class AsymptoteReport:
 
     deg_b = d_plus - d_minus is the growth bound degree (the width of the
     range of log-log slopes). ``method`` records how the ends were obtained:
-    "exact-chief-part" carries the integer-coefficient guarantee C >= 1,
-    "numeric-fit" does not, and "closed-form" marks torsion-level formulas.
+    "exact-chief-part" (integer weights of a decomposition) and "face"
+    (float weights) both carry the integer-coefficient guarantee C >= 1, and
+    "closed-form" marks torsion-level formulas.
     """
 
     d_plus: float
@@ -139,30 +141,17 @@ class DetFunction:
                 "the constantly-zero function has no asymptote degrees")
         if tol in self._asymptote_cache:
             return self._asymptote_cache[tol]
-        if self.cohom.has_decomposition:
-            dp, cp = self._exact_end(END_PLUS, tol)
-            dm, cm = self._exact_end(END_MINUS, tol)
-            report = AsymptoteReport(dp, dm, cp, cm, "exact-chief-part")
-        else:
-            report = self._numeric_fit(tol)
+        dp, cp = self._exact_end(END_PLUS, tol)
+        dm, cm = self._exact_end(END_MINUS, tol)
+        method = "exact-chief-part" if self.cohom.has_decomposition else "face"
+        report = AsymptoteReport(dp, dm, cp, cm, method)
         self._asymptote_cache[tol] = report
         return report
 
     def _exact_end(self, end: str, tol: float):
         w, q = chief_part(self.det_poly, self.cohom, end)
-        d = sum(ri * wi for ri, wi in zip(self.cohom.r, w))
         coeff = mahler_mv(q, tol) ** (1.0 / self.index_divisor)
-        return d / self.index_divisor, coeff
-
-    def _numeric_fit(self, tol: float) -> AsymptoteReport:
-        t1, t2 = _FIT_ANCHORS
-        lv1, lv2 = self.log_eval(t1, tol), self.log_eval(t2, tol)
-        d_plus = (lv2 - lv1) / (math.log(t2) - math.log(t1))
-        c_plus = math.exp(lv2 - d_plus * math.log(t2))
-        lw1, lw2 = self.log_eval(1 / t1, tol), self.log_eval(1 / t2, tol)
-        d_minus = (lw1 - lw2) / (math.log(1 / t1) - math.log(1 / t2))
-        c_minus = math.exp(lw2 - d_minus * math.log(1 / t2))
-        return AsymptoteReport(d_plus, d_minus, c_plus, c_minus, "numeric-fit")
+        return _end_weight(self.cohom, w) / self.index_divisor, coeff
 
 
 def det_function(a: LaurentMatrix, c: CohomClass,
@@ -175,37 +164,42 @@ def det_function(a: LaurentMatrix, c: CohomClass,
     return DetFunction(a.determinant(), c, index_divisor, bound)
 
 
-def chief_part(p: LaurentPoly, c: CohomClass, end: str):
-    """Extremal weight group of p under the integer weight map.
+def _end_weight(c: CohomClass, w: tuple) -> float:
+    return dot(c.r, w) if c.has_decomposition else w[0]
 
-    Groups monomials by w = Phi v, discards nothing else (groups of pruned
-    zero coefficients never appear), and returns (w, q_w) for the group
-    maximizing <r, w> (end "+inf") or minimizing it (end "0+"). A tie within
-    1e-9 between the extremal and runner-up values means the asserted
-    Q-linear independence of r is violated.
+
+def chief_part(p: LaurentPoly, c: CohomClass, end: str):
+    """Extremal weight group (face) of p at one end.
+
+    Groups monomials by w = Phi v, or by w = (<sigma, v>,) without a
+    decomposition, and returns (w, q_w) for the group of largest weight
+    (end "+inf") or smallest (end "0+"). A runner-up within _TIE_TOL of
+    <r, w> breaks the asserted Q-linear independence of r; one within
+    _FACE_TIE_RTOL of the float weights cannot be told apart.
     """
     if p.is_zero:
         raise ZeroPolynomialError("chief part undefined for the zero polynomial")
-    if not c.has_decomposition:
-        raise ValueError("chief part requires an exact (r, Phi) decomposition")
     if end not in (END_PLUS, END_MINUS):
         raise ValueError(f'end must be "{END_PLUS}" or "{END_MINUS}"')
 
     groups: dict[tuple, dict] = {}
     for exp, coeff in p.terms.items():
-        w = c.integer_weight(exp)
+        w = c.integer_weight(exp) if c.has_decomposition else (c.weight(exp),)
         groups.setdefault(w, {})[exp] = coeff
 
-    keyed = sorted(
-        ((sum(ri * wi for ri, wi in zip(c.r, w)), w) for w in groups),
-        key=lambda kw: (kw[0],) + kw[1])
+    keyed = sorted(((_end_weight(c, w), w) for w in groups),
+                   key=lambda kw: (kw[0],) + kw[1])
     best = keyed[-1] if end == END_PLUS else keyed[0]
     if len(keyed) > 1:
         runner = keyed[-2] if end == END_PLUS else keyed[1]
-        if abs(best[0] - runner[0]) < _TIE_TOL:
+        tie_tol = _TIE_TOL if c.has_decomposition else _FACE_TIE_RTOL * max(
+            sum(abs(s * e) for s, e in zip(c.sigma, v))
+            for v in (*groups[best[1]], *groups[runner[1]]))
+        if abs(best[0] - runner[0]) < tie_tol:
             raise ChiefPartTieError(
                 f"weight groups {best[1]} and {runner[1]} tie at "
-                f"<r, w> = {best[0]!r}: r entries are not rationally independent")
+                f"{best[0]!r}: only a decomposition into rationally "
+                f"independent r separates them")
     w = best[1]
     return w, LaurentPoly(p.nvars, groups[w], p.integer_certified)
 

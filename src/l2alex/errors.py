@@ -65,7 +65,10 @@ class IllConditionedError(L2AlexError, ArithmeticError):
 class ChiefPartTieError(L2AlexError):
     """Two weight groups tie in the extremal-part selection.
 
-    The asymptote extraction assumes the positive weights r_1..r_d are
-    linearly independent over Q, which makes <r, w> injective on integer
-    weight vectors. A numerical tie means that assumption is violated.
+    With a decomposition, the asymptote extraction assumes the positive
+    weights r_1..r_d are linearly independent over Q, which makes <r, w>
+    injective on integer weight vectors; a numerical tie means that
+    assumption is violated. Without one, two faces whose float weights
+    <sigma, v> agree to rounding cannot be told apart in double precision;
+    an exact decomposition settles which face is extremal.
     """

@@ -234,19 +234,20 @@ def monomial_profile(p: LaurentPoly, sigma1: float) -> list:
     for k in range(len(moduli) + 1):
         s_lo = moduli[k - 1] if k > 0 else 0.0
         s_hi = moduli[k] if k < len(moduli) else math.inf
-        if s_lo == s_hi:
-            continue
-        coeff = absd
-        for b in moduli[k:]:
-            coeff *= b
-        exponent = sigma1 * (rd.power + k)
         if sigma1 > 0:
             t_lo = s_lo ** (1.0 / sigma1) if s_lo > 0 else 0.0
             t_hi = s_hi ** (1.0 / sigma1) if s_hi < math.inf else math.inf
         else:
             t_lo = s_hi ** (1.0 / sigma1) if s_hi < math.inf else 0.0
             t_hi = s_lo ** (1.0 / sigma1) if s_lo > 0 else math.inf
-        pieces.append(MonomialPiece(t_lo, t_hi, coeff, exponent))
+        # equal moduli, or moduli that the 1/sigma1 power rounds together,
+        # leave an empty piece that the sort below could misplace
+        if t_lo == t_hi:
+            continue
+        coeff = absd
+        for b in moduli[k:]:
+            coeff *= b
+        pieces.append(MonomialPiece(t_lo, t_hi, coeff, sigma1 * (rd.power + k)))
     pieces.sort(key=lambda piece: piece.t_lo)
     return pieces
 

@@ -6,12 +6,12 @@ is a ring homomorphism in the matrix algebra and anti-commutes with the
 adjoint: twisting at t then taking the involution equals taking the
 involution and twisting at 1/t.
 
-Asymptote extraction needs an exact decomposition sigma = sum_i r_i * Phi_i
-with positive reals r_1..r_d (the user asserts their Q-linear independence)
-and integer covectors Phi_i. When sigma is rational the library builds the
-d = 1 decomposition itself via continued fractions (denominators <= 10^6);
-irrational classes must bring their own, or degree analysis falls back to
-numeric fitting.
+A class may carry an exact decomposition sigma = sum_i r_i * Phi_i with
+positive reals r_1..r_d (the user asserts their Q-linear independence) and
+integer covectors Phi_i; asymptote extraction then judges ties between
+monomials exactly. When sigma is rational the library builds the d = 1
+decomposition itself via continued fractions (denominators <= 10^6); other
+classes may bring their own. Every sigma_j and r_i must be finite.
 
 The one twist routine, ``twist``, works in log space: it returns the twisted
 polynomial divided by its largest coefficient magnitude, together with the
@@ -56,14 +56,17 @@ class CohomClass:
 
     def __init__(self, sigma: Sequence[float],
                  r: Sequence[float] | None = None,
-                 phi: Sequence[Sequence[int]] | None = None,
-                 auto_decompose: bool = True):
+                 phi: Sequence[Sequence[int]] | None = None):
         sigma = tuple(float(x) for x in sigma)
+        if not all(math.isfinite(x) for x in sigma):
+            raise ValueError(f"sigma entries must be finite, got {sigma}")
         if (r is None) != (phi is None):
             raise ValueError("r and phi must be given together")
         if r is not None:
             r = tuple(float(x) for x in r)
             phi = tuple(tuple(int(e) for e in row) for row in phi)
+            if not all(math.isfinite(x) for x in r):
+                raise ValueError(f"r entries must be finite, got {r}")
             if not r or any(x <= 0 for x in r):
                 raise ValueError("r entries must be positive")
             if len(phi) != len(r):
@@ -71,12 +74,12 @@ class CohomClass:
             if any(len(row) != len(sigma) for row in phi):
                 raise ValueError("phi rows must have length len(sigma)")
             for j, s in enumerate(sigma):
-                recon = sum(r[i] * phi[i][j] for i in range(len(r)))
-                if abs(recon - s) > _DECOMP_REL_TOL * max(1.0, abs(s)):
+                recon = dot(r, [row[j] for row in phi])
+                if not abs(recon - s) <= _DECOMP_REL_TOL * max(1.0, abs(s)):
                     raise ValueError(
                         f"decomposition mismatch at component {j}: "
                         f"{recon} != {s}")
-        elif auto_decompose:
+        else:
             built = _rational_decomposition(sigma)
             if built is not None:
                 r, phi = built
@@ -116,8 +119,8 @@ class CohomClass:
     # -- algebra -----------------------------------------------------------
 
     def weight(self, exp: Sequence[int]) -> float:
-        """<sigma, v> for an exponent vector v."""
-        return sum(s * e for s, e in zip(self.sigma, exp))
+        """<sigma, v> for an exponent vector v, saturated to +-inf."""
+        return dot(self.sigma, exp)
 
     def integer_weight(self, exp: Sequence[int]) -> tuple:
         """Phi v in Z^d (requires the decomposition)."""
@@ -178,6 +181,25 @@ class CohomClass:
     @classmethod
     def from_obj(cls, obj: dict) -> "CohomClass":
         return cls(obj["sigma"], obj.get("r"), obj.get("phi"))
+
+
+def dot(xs: Sequence[float], ns: Sequence[int]) -> float:
+    """sum_i x_i * n_i for finite floats x_i and integers n_i.
+
+    A sum beyond the double range saturates to +-inf with the sign of the
+    exact sum, so it is never nan and never raises.
+    """
+    try:
+        out = sum(x * n for x, n in zip(xs, ns))
+        if math.isfinite(out):
+            return out
+    except OverflowError:
+        pass
+    exact = sum(Fraction(x) * n for x, n in zip(xs, ns))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def _rational_decomposition(sigma):

@@ -94,6 +94,12 @@ def scaled_doc(terms, scale):
     })
 
 
+def quadratic_doc(tail):
+    """The z^2 - 3z + 1 document with raw JSON for "class" and what follows."""
+    return ('{"variables":["z"],"matrix":[[[{"exp":[2],"re":1},'
+            '{"exp":[1],"re":-3},{"exp":[0],"re":1}]]],"class":%s}' % tail)
+
+
 def entry_doc(terms):
     """A 2x2 diagonal document: 1 and the terms (raw JSON) at entry [1][1]."""
     return ('{"variables":["z"],"class":{"sigma":[1]},"matrix":'
@@ -421,6 +427,42 @@ class TestExitCodes:
         assert code == 0
         assert out == "t,value\n1e-250,0\n1e-175,0\n1e-100,0\n"
 
+    @pytest.mark.parametrize("tail, kind", [
+        ('{"sigma":[Infinity]}', "bad-class"),
+        ('{"sigma":[1],"r":[Infinity],"phi":[[0]]}', "bad-class"),
+        ('{"sigma":[1],"r":[NaN],"phi":[[1]]}', "bad-class"),
+        ('{"sigma":[1]},"pairs":[[NaN,1]]', "bad-pairs")],
+        ids=["sigma-inf", "r-inf-phi-0", "r-nan", "pair-nan"])
+    @pytest.mark.parametrize("command", [
+        ["degree"], ["eval", "--t-grid", "1:2:2"],
+        ["torsion", "--t-grid", "1:2:2"]])
+    def test_non_finite_class_or_pair_refused(self, tmp_path, capsys,
+                                              command, tail, kind):
+        path = tmp_path / "doc.json"
+        path.write_text(quadratic_doc(tail))
+        code, out, err = run_cli(
+            [command[0], "--input", str(path), *command[1:]], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error[{kind}]:")
+
+    @pytest.mark.parametrize("doc", [
+        quadratic_doc('{"sigma":[1e308]}'),
+        json.dumps({"variables": ["x", "y"],
+                    "matrix": [[[{"exp": [0, 0], "re": 1},
+                                 {"exp": [2, 0], "re": 1},
+                                 {"exp": [0, 1], "re": 1}]]],
+                    "class": {"sigma": [1.7e308, 2 ** 0.5]}})],
+        ids=["decomposed", "undecomposed"])
+    def test_degree_beyond_double_range_refused(self, tmp_path, capsys, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[overflow]:") and "d_plus" in err
+        assert len(err.splitlines()) == 1
+
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1
         doc = {
@@ -435,6 +477,14 @@ class TestExitCodes:
         code, _, err = run_cli(["degree", "--input", str(path)], capsys)
         assert code == 3
         assert "degeneracy" in err
+        # float weights sqrt 2 and sqrt 2 + 1e-14 agree to rounding, and no
+        # decomposition settles them
+        doc["class"] = {"sigma": [2 ** 0.5, 2 ** 0.5 + 1e-14]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error[degeneracy]:")
 
     def test_zero_determinant_degree_is_degenerate(self, tmp_path, capsys):
         doc = {

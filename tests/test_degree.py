@@ -21,6 +21,14 @@ def quadratic_fn(sigma=1.0):
 
 GOLDEN_PLUS = 2.618033988749895
 GOLDEN_MINUS = 0.3819660112501051
+SQRT2 = math.sqrt(2)
+ONE_X_Y = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+
+
+def random_real_class(rng, nvars):
+    """Uniform reals: about a quarter of them lie farther than 1e-12 from
+    every fraction of denominator <= 10^6 and so get no decomposition."""
+    return CohomClass([rng.uniform(-3, 3) for _ in range(nvars)])
 
 
 class TestDetFunction:
@@ -140,6 +148,11 @@ class TestChiefPart:
         c = CohomClass([1.0, 1.0], r=[1.0, 1.0], phi=[[1, 0], [0, 1]])
         with pytest.raises(ChiefPartTieError):
             chief_part(p, c, "+inf")
+        # float weights that agree to rounding, with no decomposition
+        c = CohomClass([SQRT2, SQRT2 + 1e-14])
+        assert not c.has_decomposition
+        with pytest.raises(ChiefPartTieError):
+            chief_part(p, c, "+inf")
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -167,14 +180,59 @@ class TestAsymptote:
         assert (rep.d_plus, rep.d_minus, rep.deg_b) == (1.0, 0.0, 1.0)
         assert rep.C_plus == rep.C_minus == pytest.approx(1.0)
 
-    def test_numeric_fit_fallback(self):
+    def test_face_on_irrational_class(self):
         v = DetFunction(P(1, {(2,): 1, (1,): -3, (0,): 1}),
                         CohomClass([math.sqrt(2)]))
         rep = asymptote(v, 1e-9)
-        assert rep.method == "numeric-fit"
-        assert rep.d_plus == pytest.approx(2.0 * math.sqrt(2), abs=1e-4)
-        assert rep.d_minus == pytest.approx(0.0, abs=1e-4)
-        assert rep.C_plus == pytest.approx(1.0, rel=1e-3)
+        assert rep.method == "face"
+        assert rep.d_plus == 2 * math.sqrt(2)
+        assert rep.d_minus == 0.0
+        assert rep.C_plus == 1.0
+
+    def test_near_tie_is_exact(self):
+        rep = asymptote(DetFunction(ONE_X_Y, CohomClass([1.0, 1.0 + 1e-9])))
+        assert rep.method == "face"
+        assert rep.d_plus == 1.0 + 1e-9 and rep.d_minus == 0.0
+        assert rep.C_plus == pytest.approx(1.0, abs=1e-12)
+        assert rep.C_minus == pytest.approx(1.0, abs=1e-12)
+
+    def test_shared_face_is_exact(self):
+        # x and y share the weight sqrt 2: the face is x + y, M(x + y) = 1
+        rep = asymptote(DetFunction(ONE_X_Y, CohomClass([SQRT2, SQRT2])))
+        assert rep.method == "face"
+        assert rep.d_plus == SQRT2
+        assert rep.C_plus == pytest.approx(1.0, abs=1e-12)
+
+    def test_path_independent(self, rng):
+        # d+- are the extreme <sigma, v> of the support whether or not the
+        # class has a decomposition
+        paths = set()
+        for _ in range(12):
+            a = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 2))
+            for c in (random_rational_class(rng, a.nvars),
+                      random_real_class(rng, a.nvars)):
+                v = det_function(a, c)
+                rep = asymptote(v)
+                paths.add(rep.method)
+                weights = [c.weight(e) for e in v.det_poly.terms]
+                scale = max(abs(x) for x in weights)
+                assert abs(rep.d_plus - max(weights)) <= 1e-11 * scale
+                assert abs(rep.d_minus - min(weights)) <= 1e-11 * scale
+                assert rep.C_plus >= 1.0 - 1e-9
+                assert rep.C_minus >= 1.0 - 1e-9
+        assert paths == {"exact-chief-part", "face"}
+
+    @pytest.mark.parametrize("sigma, terms", [
+        ([1e308], {(2,): 1, (1,): -3, (0,): 1}),
+        ([1.7e308, SQRT2], {(0, 0): 1, (2, 0): 1, (0, 1): 1})],
+        ids=["decomposed", "undecomposed"])
+    def test_exponent_beyond_double_range_saturates(self, sigma, terms):
+        rep = asymptote(DetFunction(P(len(sigma), terms), CohomClass(sigma)))
+        assert rep.d_plus == math.inf and rep.d_minus == 0.0
+        assert rep.C_plus == rep.C_minus == 1.0
+        rep = asymptote(DetFunction(P(len(sigma), terms),
+                                    CohomClass([-s for s in sigma])))
+        assert rep.d_minus == -math.inf
 
     def test_matches_far_evaluations(self, rng):
         tol = 1e-8
@@ -293,6 +351,13 @@ class TestLipschitz:
             xi = random_rational_class(rng, 2)
             rep = lipschitz_degree_check(a, base, xi, steps=4)
             assert rep.passed
+
+    def test_irrational_segment_is_exact(self):
+        rep = lipschitz_degree_check(
+            LaurentMatrix([[ONE_X_Y]]), CohomClass([1.0, 0.0]),
+            CohomClass([0.0, SQRT2]), steps=3)
+        assert rep.degrees == [1.0, 1.0, 1.0, SQRT2]
+        assert all(type(d) is float for d in rep.degrees)
 
     def test_degenerate_zero_determinant(self):
         z = P(1, {(1,): 1})

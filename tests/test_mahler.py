@@ -156,6 +156,12 @@ class TestMonomialProfile:
                                     nonzero=True)
                 exps = [pc.exponent for pc in monomial_profile(p, s)]
                 assert exps == sorted(exps)
+        # two root moduli differing in the last bit used to leave an empty
+        # piece that sorted after the piece starting at the same t
+        p = P(1, {(-4,): 3, (-1,): 5, (3,): 1})
+        for s in (-2.0, -1.0):
+            exps = [pc.exponent for pc in monomial_profile(p, s)]
+            assert exps == sorted(exps)
 
     def test_consistency_with_scaled_measure(self, rng):
         for _ in range(5):

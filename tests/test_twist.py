@@ -41,6 +41,15 @@ class TestCohomClass:
         with pytest.raises(ValueError):
             CohomClass([1.0], r=[1.0, math.sqrt(2)], phi=[[1], [1]])
 
+    @pytest.mark.parametrize("sigma, r, phi", [
+        ([math.inf], None, None),
+        ([1.0], [math.inf], [[0]]),    # inf * 0 is nan, which must mismatch
+        ([1.0], [math.nan], [[1]])],
+        ids=["sigma-inf", "r-inf", "r-nan"])
+    def test_non_finite_refused(self, sigma, r, phi):
+        with pytest.raises(ValueError, match="must be finite"):
+            CohomClass(sigma, r, phi)
+
     def test_r_must_be_positive(self):
         with pytest.raises(ValueError):
             CohomClass([1.0], r=[-1.0], phi=[[-1]])
