@@ -22,10 +22,10 @@ pair with a non-finite value answers error[bad-pairs]. ``eval`` and
 ``torsion`` print no row when a value on the grid
 of a function that is not constantly zero exceeds the double range or
 falls below it: they answer error[overflow] or error[underflow], naming
-the first such t, and exit 1. ``mahler`` answers error[overflow], exit 1,
-for a measure beyond the double range, naming its log, and ``degree``
-answers it for a report with a field beyond the double range, naming the
-field.
+the first such t, and exit 1. A JSON result with a field beyond the double
+range (inf, -inf or nan; such as the measure of ``mahler``, ``d_plus`` of
+``degree`` or ``slope_max`` of ``convexity``) prints nothing and answers
+error[overflow], naming the field, exit 1.
 """
 
 from __future__ import annotations
@@ -136,27 +136,27 @@ def serialize_input(doc: InputDocument) -> str:
     return json.dumps(obj)
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return "%.12g" % x
+def render_json(obj, key: str = "") -> str:
+    """Deterministic JSON with %.12g floats, keys in insertion order.
 
-
-def render_json(obj) -> str:
-    """Deterministic JSON with %.12g floats, keys in insertion order."""
+    A float beyond the double range raises InputError("overflow") naming
+    the key it sits under (``key`` for a value outside any object).
+    """
     if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{render_json(v)}" for k, v in obj.items())
+        inner = ",".join(f"{json.dumps(k)}:{render_json(v, k)}"
+                         for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in obj) + "]"
+        return "[" + ",".join(render_json(v, key) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        if not math.isfinite(obj):
+            raise InputError("overflow",
+                             f"{key} is {obj}, beyond the double range")
+        return "%.12g" % obj
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -202,9 +202,6 @@ def _cmd_mahler(args, out):
     doc = _read_input(args.input)
     poly = doc.matrix.determinant()
     result = mahler_mv_report(poly, tol=args.tol, max_evals=args.max_evals)
-    if math.isinf(result.measure):
-        raise InputError("overflow", "the measure exceeds the double range "
-                                     "(log_measure %.12g)" % result.log_measure)
     out.write(render_json({"measure": result.measure,
                            "log_measure": result.log_measure,
                            "achieved_tol": result.achieved_tol}) + "\n")
@@ -220,12 +217,7 @@ def _cmd_eval(args, out):
 def _cmd_degree(args, out):
     doc = _read_input(args.input)
     fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
-    report = fn.asymptote(args.tol).to_obj()
-    for key, value in report.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputError("overflow", f"{key} is {value}, beyond the "
-                                         f"double range")
-    out.write(render_json(report) + "\n")
+    out.write(render_json(fn.asymptote(args.tol).to_obj()) + "\n")
 
 
 def _cmd_convexity(args, out):

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 from .errors import ChiefPartTieError, ZeroMatrixError, ZeroPolynomialError
 from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
-                     log_mahler_mv, roots)
+                     log_mahler_mv, roots, saturating_exp)
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
 from .twist import CohomClass, dot, exponent_bound, twist
 
-_TIE_TOL = 1e-9
-# <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|: float weights of
-# two faces closer than this fraction of it are a tie
-_FACE_TIE_RTOL = 2.0 ** -40
+_LIPSCHITZ_SLACK = 1e-9
+# <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|, and <r, w> of
+# sum_i |r_i w_i|: two weights closer than this fraction of it are a tie
+_TIE_RTOL = 2.0 ** -40
 _GRID_GEOMETRIC_RTOL = 1e-9
 
 END_PLUS = "+inf"
@@ -72,11 +72,10 @@ class AsymptoteReport:
 
 
 class DetFunction:
-    """Evaluable t -> V(t) with cached determinant and asymptote data."""
+    """Evaluable t -> V(t); the root data of one variable is kept."""
 
     def __init__(self, det_poly: LaurentPoly, cohom: CohomClass,
-                 index_divisor: int = 1, exp_bound: float | None = None,
-                 label: str = ""):
+                 index_divisor: int = 1, exp_bound: float | None = None):
         if det_poly.nvars != cohom.nvars:
             raise ValueError(
                 f"determinant has {det_poly.nvars} variables, "
@@ -87,10 +86,7 @@ class DetFunction:
         self.cohom = cohom
         self.index_divisor = int(index_divisor)
         self.exp_bound = exp_bound
-        self.label = label
         self._rootdata: RootData | None = None
-        self._eval_cache: dict = {}
-        self._asymptote_cache: dict = {}
 
     @property
     def is_zero(self) -> bool:
@@ -112,9 +108,6 @@ class DetFunction:
             raise ValueError("t must be positive")
         if self.is_zero:
             return -math.inf
-        key = (t, tol)
-        if key in self._eval_cache:
-            return self._eval_cache[key]
         if self.det_poly.nvars == 1:
             log_s1 = self.cohom.variable_scales(t)[0]
             logv = log_scaled_mahler_from_roots(self._roots1v(), log_s1)
@@ -122,31 +115,21 @@ class DetFunction:
             q, log_scale = twist(self.det_poly, self.cohom, t)
             logm, _ = log_mahler_mv(q, tol, NodeBudget(max_evals))
             logv = logm + log_scale
-        logv /= self.index_divisor
-        self._eval_cache[key] = logv
-        return logv
+        return logv / self.index_divisor
 
     def eval(self, t: float, tol: float = 1e-8,
              max_evals: int = DEFAULT_NODE_BUDGET) -> float:
         """V(t), saturating to inf if it exceeds the double range."""
-        logv = self.log_eval(t, tol, max_evals)
-        try:
-            return math.exp(logv)
-        except OverflowError:
-            return math.inf
+        return saturating_exp(self.log_eval(t, tol, max_evals))
 
     def asymptote(self, tol: float = 1e-8) -> AsymptoteReport:
         if self.is_zero:
             raise ZeroPolynomialError(
                 "the constantly-zero function has no asymptote degrees")
-        if tol in self._asymptote_cache:
-            return self._asymptote_cache[tol]
         dp, cp = self._exact_end(END_PLUS, tol)
         dm, cm = self._exact_end(END_MINUS, tol)
         method = "exact-chief-part" if self.cohom.has_decomposition else "face"
-        report = AsymptoteReport(dp, dm, cp, cm, method)
-        self._asymptote_cache[tol] = report
-        return report
+        return AsymptoteReport(dp, dm, cp, cm, method)
 
     def _exact_end(self, end: str, tol: float):
         w, q = chief_part(self.det_poly, self.cohom, end)
@@ -173,9 +156,11 @@ def chief_part(p: LaurentPoly, c: CohomClass, end: str):
 
     Groups monomials by w = Phi v, or by w = (<sigma, v>,) without a
     decomposition, and returns (w, q_w) for the group of largest weight
-    (end "+inf") or smallest (end "0+"). A runner-up within _TIE_TOL of
-    <r, w> breaks the asserted Q-linear independence of r; one within
-    _FACE_TIE_RTOL of the float weights cannot be told apart.
+    (end "+inf") or smallest (end "0+"). A runner-up closer to it than
+    _TIE_RTOL times the scale at which the two weights round is a tie. The
+    scale is the larger sum_i |r_i w_i| of the two groups with a
+    decomposition (a tie there breaks the asserted Q-linear independence of
+    r), and the largest sum_j |sigma_j v_j| over their monomials without.
     """
     if p.is_zero:
         raise ZeroPolynomialError("chief part undefined for the zero polynomial")
@@ -192,16 +177,19 @@ def chief_part(p: LaurentPoly, c: CohomClass, end: str):
     best = keyed[-1] if end == END_PLUS else keyed[0]
     if len(keyed) > 1:
         runner = keyed[-2] if end == END_PLUS else keyed[1]
-        tie_tol = _TIE_TOL if c.has_decomposition else _FACE_TIE_RTOL * max(
-            sum(abs(s * e) for s, e in zip(c.sigma, v))
-            for v in (*groups[best[1]], *groups[runner[1]]))
-        if abs(best[0] - runner[0]) < tie_tol:
+        if c.has_decomposition:
+            xs, vectors = c.r, (best[1], runner[1])
+        else:
+            xs, vectors = c.sigma, (*groups[best[1]], *groups[runner[1]])
+        scale = max(dot([abs(x) for x in xs], [abs(n) for n in v])
+                    for v in vectors)
+        if abs(best[0] - runner[0]) < _TIE_RTOL * scale:
             raise ChiefPartTieError(
                 f"weight groups {best[1]} and {runner[1]} tie at "
                 f"{best[0]!r}: only a decomposition into rationally "
                 f"independent r separates them")
     w = best[1]
-    return w, LaurentPoly(p.nvars, groups[w], p.integer_certified)
+    return w, LaurentPoly(p.nvars, groups[w])
 
 
 def asymptote(v: DetFunction, tol: float = 1e-8) -> AsymptoteReport:
@@ -328,6 +316,6 @@ def lipschitz_degree_check(a: LaurentMatrix, base: CohomClass, xi: CohomClass,
             allowed = 2.0 * abs(lambdas[j] - lambdas[i]) * bound
             if bound > 0:
                 report.max_ratio = max(report.max_ratio, gap / allowed)
-            if gap > allowed + _TIE_TOL:
+            if gap > allowed + _LIPSCHITZ_SLACK:
                 report.violations.append((lambdas[i], lambdas[j], gap, allowed))
     return report

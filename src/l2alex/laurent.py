@@ -2,10 +2,11 @@
 
 Polynomials live in C[z_1^{±1}, ..., z_l^{±1}]: a finite map from integer
 exponent vectors to complex coefficients. Coefficients are double-precision
-complex with an "integer-certified" fast path: when every coefficient is a
-real integer with |c| <= 2^53, ring operations are exact, and downstream
-code may rely on integrality (Mahler measures of nonzero integer Laurent
-polynomials are >= 1).
+complex with an "integer-certified" fast path. Certification is derived from
+the coefficients alone: a polynomial is certified exactly when every
+coefficient is a real integer with |c| <= 2^53. Ring operations on such
+polynomials are exact, and downstream code may rely on integrality (Mahler
+measures of nonzero integer Laurent polynomials are >= 1).
 
 Conventions:
   * exponent vectors are tuples of ints; componentwise addition is the group
@@ -68,8 +69,7 @@ class LaurentPoly:
 
     __slots__ = ("nvars", "terms", "integer_certified")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, complex],
-                 integer_certified: bool | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, complex]):
         if nvars < 0:
             raise ValueError("variable count must be >= 0")
         clean: dict[tuple, complex] = {}
@@ -93,11 +93,7 @@ class LaurentPoly:
 
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        if integer_certified is None:
-            cert = derived
-        else:
-            cert = bool(integer_certified) and derived
-        object.__setattr__(self, "integer_certified", cert)
+        object.__setattr__(self, "integer_certified", derived)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -117,18 +113,10 @@ class LaurentPoly:
         return cls.constant(nvars, 1)
 
     @classmethod
-    def monomial(cls, nvars: int, exp: Iterable[int], c: complex = 1) -> "LaurentPoly":
-        return cls(nvars, {tuple(int(e) for e in exp): c})
-
-    @classmethod
     def variable(cls, nvars: int, j: int) -> "LaurentPoly":
         exp = [0] * nvars
         exp[j] = 1
         return cls(nvars, {tuple(exp): 1})
-
-    @classmethod
-    def from_univariate(cls, coeffs: Mapping[int, complex]) -> "LaurentPoly":
-        return cls(1, {(k,): c for k, c in coeffs.items()})
 
     # -- structure ---------------------------------------------------------
 
@@ -179,12 +167,10 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0j) + c
-        return LaurentPoly(self.nvars, out,
-                           self.integer_certified and other.integer_certified)
+        return LaurentPoly(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()},
-                           self.integer_certified)
+        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -199,8 +185,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0j) + c1 * c2
-        return LaurentPoly(self.nvars, out,
-                           self.integer_certified and other.integer_certified)
+        return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -208,21 +193,7 @@ class LaurentPoly:
         """a = sum a_v z^v  ->  a* = sum conj(a_v) z^{-v}."""
         return LaurentPoly(
             self.nvars,
-            {tuple(-e for e in exp): c.conjugate() for exp, c in self.terms.items()},
-            self.integer_certified)
-
-    def evaluate(self, point: Iterable[complex]) -> complex:
-        """Evaluate at a point with all coordinates nonzero."""
-        pt = list(point)
-        if len(pt) != self.nvars:
-            raise VariableCountMismatch("point length != variable count")
-        total = 0j
-        for exp, c in self.terms.items():
-            val = c
-            for z, e in zip(pt, exp):
-                val *= z ** e
-            total += val
-        return total
+            {tuple(-e for e in exp): c.conjugate() for exp, c in self.terms.items()})
 
     # -- serialization -----------------------------------------------------
 
@@ -431,7 +402,7 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     budget = 16 * (len(a.terms) + len(b.terms) + 4) ** 2
     for _ in range(budget):
         if not rem:
-            return LaurentPoly(a.nvars, quot, certified)
+            return LaurentPoly(a.nvars, quot)
         lead_r = max(rem)
         qe = tuple(x - y for x, y in zip(lead_r, lead_b))
         qc = rem[lead_r] / cb

@@ -5,7 +5,8 @@ One variable is exact via Jensen's formula: factor p = D z^n prod (z - b_i)
 and M(p) = |D| prod max(1, |b_i|). The scaled variant M(p(cz)) has the
 closed form |D| c^n prod max(c, |b_i|), a piecewise monomial function of c
 whose breakpoints sit at the root moduli; that is what makes one-variable
-determinant functions exactly computable.
+determinant functions exactly computable. Both are summed in log space and
+a measure beyond the double range saturates to inf (``saturating_exp``).
 
 Several variables reduce to nested one-variable problems: the variable of
 largest exponent spread is integrated exactly by Jensen on each slice (this
@@ -50,7 +51,6 @@ _STRIP_REL = 1e-13
 _TORIC_RADIUS = 1e-6     # a resultant root this near the circle is on it
 _TORIC_SNR = 1e6         # resultant samples must exceed their rounding by this
 _TORIC_MAX_ROOTS = 64    # largest resultant root-finder (see _toric_angles)
-_SYLVESTER_BATCH = 256   # Sylvester matrices per slogdet call
 _RECONSTRUCTION_RTOL = 1e-9
 
 
@@ -180,22 +180,19 @@ def roots(q: LaurentPoly) -> RootData:
     return RootData(lead, n, tuple(complex(b) for b in rts[order]))
 
 
+def saturating_exp(x: float) -> float:
+    """exp(x), or inf where it exceeds the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def mahler_1v(q: LaurentPoly) -> float:
     """Jensen's formula: M(q) = |D| prod max(1, |b_i|); M(0) = 0."""
     if q.is_zero:
         return 0.0
-    rd = roots(q)
-    out = abs(rd.leading)
-    for b in rd.roots:
-        out *= max(1.0, abs(b))
-    return out
-
-
-def scaled_mahler_from_roots(rd: RootData, c: float) -> float:
-    out = abs(rd.leading) * c ** rd.power
-    for b in rd.roots:
-        out *= max(c, abs(b))
-    return out
+    return saturating_exp(log_scaled_mahler_from_roots(roots(q), 0.0))
 
 
 def log_scaled_mahler_from_roots(rd: RootData, log_c: float) -> float:
@@ -212,7 +209,7 @@ def scaled_mahler_1v(p: LaurentPoly, c: float) -> float:
         raise ZeroPolynomialError("scaled measure undefined for the zero polynomial")
     if c <= 0:
         raise ValueError("scale must be positive")
-    return scaled_mahler_from_roots(roots(p), c)
+    return saturating_exp(log_scaled_mahler_from_roots(roots(p), math.log(c)))
 
 
 def monomial_profile(p: LaurentPoly, sigma1: float) -> list:
@@ -270,7 +267,7 @@ def _project_support(p: LaurentPoly):
     for exp, c in p.terms.items():
         key = tuple(exp[j] for j in live)
         terms[key] = terms.get(key, 0j) + c
-    return LaurentPoly(len(live), terms, p.integer_certified), live
+    return LaurentPoly(len(live), terms), live
 
 
 def mahler_mv(p: LaurentPoly, tol: float = 1e-8,
@@ -294,11 +291,7 @@ def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
     if p.is_zero:
         return MahlerResult(0.0, -math.inf, 0.0)
     log_measure, achieved = log_mahler_mv(p, tol, NodeBudget(max_evals))
-    try:
-        measure = math.exp(log_measure)
-    except OverflowError:
-        measure = math.inf
-    return MahlerResult(measure, log_measure, achieved)
+    return MahlerResult(saturating_exp(log_measure), log_measure, achieved)
 
 
 def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
@@ -379,21 +372,15 @@ def _toric_angles(coefs, inner, outer):
     grid = 2.0 * np.pi * np.arange(n) / n
     rows = np.repeat(np.arange(e), e + 1)
     cols = rows + np.tile(np.arange(e + 1), e)
-    signs, logdets = [], []
-    for start in range(0, n, _SYLVESTER_BATCH):
-        b = kernels.slice_coefficients(
-            coefs, powers, grid[start:start + _SYLVESTER_BATCH, None] * inner)
-        syl = np.zeros((len(b), 2 * e, 2 * e), dtype=np.complex128)
-        syl[:, rows, cols] = np.tile(b[:, ::-1], e)
-        syl[:, rows + e, cols] = np.tile(b.conj(), e)
-        sign, logdet = np.linalg.slogdet(syl)
-        signs.append(sign)
-        logdets.append(logdet)
-    logdet = np.concatenate(logdets)
+    b = kernels.slice_coefficients(coefs, powers, grid[:, None] * inner)
+    syl = np.zeros((n, 2 * e, 2 * e), dtype=np.complex128)
+    syl[:, rows, cols] = np.tile(b[:, ::-1], e)
+    syl[:, rows + e, cols] = np.tile(b.conj(), e)
+    sign, logdet = np.linalg.slogdet(syl)
     top = float(np.max(logdet))
     if not math.isfinite(top) or np.isnan(logdet).any():
         return np.empty(0)
-    samples = np.concatenate(signs) * np.exp(logdet - top)
+    samples = sign * np.exp(logdet - top)
     noise = float(np.max(np.abs(samples.imag)))
     if not np.max(np.abs(samples.real)) > _TORIC_SNR * noise:
         return np.empty(0)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .degree import AsymptoteReport, DetFunction, det_function
 from .errors import ZeroPolynomialError
 from .laurent import LaurentMatrix
+from .mahler import saturating_exp
 from .twist import CohomClass
 
 V3 = 1.0149416064096536            # volume of the regular ideal tetrahedron
@@ -59,13 +60,12 @@ UNSPECIFIED = _Unspecified()
 
 @dataclass(frozen=True)
 class TorsionSpec:
-    """Presentation data: matrix, class, max-pair values, index, label."""
+    """Presentation data: matrix, class, max-pair values, index."""
 
     matrix: LaurentMatrix
     cohom: CohomClass
     pairs: tuple = ()
     index_divisor: int = 1
-    label: str = ""
 
     def __post_init__(self):
         pairs = tuple((float(a), float(b)) for a, b in self.pairs)
@@ -97,10 +97,9 @@ class PresentationTorsion(TorsionFunction):
     are the presentation's divided by the index.
     """
 
-    def __init__(self, numerator: DetFunction, pairs, label: str = ""):
+    def __init__(self, numerator: DetFunction, pairs):
         self.numerator = numerator
         self.pairs = tuple((float(a), float(b)) for a, b in pairs)
-        self.label = label
 
     @property
     def zero_function(self) -> bool:
@@ -116,10 +115,7 @@ class PresentationTorsion(TorsionFunction):
         lt = math.log(t)
         for a, b in self.pairs:
             logv -= max(a * lt, b * lt)
-        try:
-            return math.exp(logv)
-        except OverflowError:
-            return math.inf
+        return saturating_exp(logv)
 
     def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:
         if self.zero_function:
@@ -237,8 +233,7 @@ def torsion_from_presentation(spec: TorsionSpec) -> PresentationTorsion:
     k = spec.index_divisor
     numerator = det_function(spec.matrix, spec.cohom, index_divisor=k)
     return PresentationTorsion(numerator,
-                               [(a / k, b / k) for a, b in spec.pairs],
-                               spec.label)
+                               [(a / k, b / k) for a, b in spec.pairs])
 
 
 def fibered_torsion(entropy: float, norm: float, t: float):

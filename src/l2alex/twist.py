@@ -10,8 +10,10 @@ A class may carry an exact decomposition sigma = sum_i r_i * Phi_i with
 positive reals r_1..r_d (the user asserts their Q-linear independence) and
 integer covectors Phi_i; asymptote extraction then judges ties between
 monomials exactly. When sigma is rational the library builds the d = 1
-decomposition itself via continued fractions (denominators <= 10^6); other
-classes may bring their own. Every sigma_j and r_i must be finite.
+decomposition itself via continued fractions (denominators <= 10^6, each
+sigma_j within 1e-12 |sigma_j| of its fraction); other classes may bring
+their own, which must reproduce each sigma_j within 1e-12 sum_i |r_i Phi_ij|.
+Every sigma_j and r_i must be finite.
 
 The one twist routine, ``twist``, works in log space: it returns the twisted
 polynomial divided by its largest coefficient magnitude, together with the
@@ -34,8 +36,7 @@ from .errors import ZeroMatrixError
 from .laurent import LaurentMatrix, LaurentPoly
 
 _MAX_DENOMINATOR = 10 ** 6
-_RATIONAL_ABS_TOL = 1e-12
-_DECOMP_REL_TOL = 1e-12
+_MATCH_RTOL = 1e-12      # relative error of sigma_j against its exact form
 
 
 def _powint(s: float, m: int) -> float:
@@ -74,8 +75,10 @@ class CohomClass:
             if any(len(row) != len(sigma) for row in phi):
                 raise ValueError("phi rows must have length len(sigma)")
             for j, s in enumerate(sigma):
-                recon = dot(r, [row[j] for row in phi])
-                if not abs(recon - s) <= _DECOMP_REL_TOL * max(1.0, abs(s)):
+                column = [row[j] for row in phi]
+                recon = dot(r, column)
+                scale = dot(r, [abs(e) for e in column])
+                if not abs(recon - s) <= _MATCH_RTOL * scale:
                     raise ValueError(
                         f"decomposition mismatch at component {j}: "
                         f"{recon} != {s}")
@@ -207,7 +210,7 @@ def _rational_decomposition(sigma):
     fracs = []
     for x in sigma:
         f = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
-        if abs(float(f) - x) > _RATIONAL_ABS_TOL * max(1.0, abs(x)):
+        if abs(float(f) - x) > _MATCH_RTOL * abs(x):
             return None
         fracs.append(f)
     lcm = 1

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -211,6 +212,13 @@ class TestRenderJson:
 
     def test_dict_order_preserved(self):
         assert render_json({"b": 1, "a": 2}) == '{"b":1,"a":2}'
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_refused(self, value):
+        with pytest.raises(InputError) as info:
+            render_json({"ok": 1.0, "bad": [{"deep": 2.0}, value]})
+        assert info.value.kind == "overflow"
+        assert str(info.value).startswith("bad is ")
 
 
 class TestCommands:
@@ -462,6 +470,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error[overflow]:") and "d_plus" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sigma", ["1e308", "1e200"])
+    def test_convexity_beyond_double_range_refused(self, tmp_path, capsys,
+                                                   sigma):
+        # V(2) overflows, so the largest log-log slope is inf
+        path = tmp_path / "doc.json"
+        path.write_text(quadratic_doc('{"sigma":[%s]}' % sigma))
+        code, out, err = run_cli(["convexity", "--input", str(path),
+                                  "--grid", "0.5:2:3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[overflow]:") and "slope_max" in err
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

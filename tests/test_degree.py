@@ -154,6 +154,15 @@ class TestChiefPart:
         with pytest.raises(ChiefPartTieError):
             chief_part(p, c, "+inf")
 
+    def test_small_decomposed_weights_are_no_tie(self):
+        # <r, w> of the groups (2,) and (1,) differ by 1e-13, at a scale of
+        # 2e-13: far apart, though closer than any absolute tolerance
+        c = CohomClass([1e-13, 2e-13], r=[1e-13], phi=[[1, 2]])
+        rep = asymptote(DetFunction(ONE_X_Y, c))
+        assert rep.method == "exact-chief-part"
+        assert (rep.d_plus, rep.d_minus) == (2e-13, 0.0)
+        assert rep.C_plus == rep.C_minus == 1.0
+
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             chief_part(LaurentPoly.zero(1), CohomClass([1.0]), "+inf")
@@ -195,6 +204,14 @@ class TestAsymptote:
         assert rep.d_plus == 1.0 + 1e-9 and rep.d_minus == 0.0
         assert rep.C_plus == pytest.approx(1.0, abs=1e-12)
         assert rep.C_minus == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_class_is_not_snapped_to_zero(self):
+        c = CohomClass([1e-13, 2e-13])
+        assert not c.has_decomposition
+        rep = asymptote(DetFunction(ONE_X_Y, c))
+        assert rep.method == "face"
+        assert (rep.d_plus, rep.d_minus) == (2e-13, 0.0)
+        assert rep.C_plus == rep.C_minus == 1.0
 
     def test_shared_face_is_exact(self):
         # x and y share the weight sqrt 2: the face is x + y, M(x + y) = 1

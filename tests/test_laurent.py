@@ -38,6 +38,11 @@ class TestPolyBasics:
         assert not P(1, {(0,): 1 + 1j}).integer_certified
         assert P(1, {(0,): 3.0}).integer_certified
 
+    def test_certification_is_derived_from_coefficients(self):
+        assert (P(1, {(0,): 0.5}) * P(1, {(0,): 2})).integer_certified
+        with pytest.raises(TypeError):
+            P(1, {(0,): 1}, False)
+
     def test_float_dust_pruned(self):
         p = P(1, {(0,): 1.0, (1,): 1e-17})
         assert list(p.terms) == [(0,)]

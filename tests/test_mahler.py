@@ -119,6 +119,14 @@ class TestScaledMahler:
         with pytest.raises(ZeroPolynomialError):
             scaled_mahler_1v(LaurentPoly.zero(1), 1.0)
 
+    def test_beyond_double_range_saturates(self):
+        huge = P(1, {(0,): 1.5e308, (1,): 1.5e308, (2,): -1.5e308})
+        assert mahler_1v(huge) == math.inf
+        assert scaled_mahler_1v(quadratic(), 1e300) == math.inf
+        # the monomial factor z^2 raises c^2 beyond the double range
+        shifted = P(1, {(4,): 1, (3,): -3, (2,): 1})
+        assert scaled_mahler_1v(shifted, 1e300) == math.inf
+
 
 class TestMonomialProfile:
     def test_quadratic_pieces(self):

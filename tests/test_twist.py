@@ -40,6 +40,9 @@ class TestCohomClass:
                    phi=[[1], [1]])
         with pytest.raises(ValueError):
             CohomClass([1.0], r=[1.0, math.sqrt(2)], phi=[[1], [1]])
+        # a zero column reproduces only sigma_j = 0
+        with pytest.raises(ValueError):
+            CohomClass([1e-20], r=[1.0], phi=[[0]])
 
     @pytest.mark.parametrize("sigma, r, phi", [
         ([math.inf], None, None),
