@@ -6,10 +6,11 @@ cohomology classes and the determinant twist (``twist``), Mahler measures
 assembly for 3-manifold presentations and closed-form families
 (``torsion3m``), and a CLI (``cli``).
 
-The quadrature's slice kernel (``kernels``) is numpy: closed forms up to
-degree 2, a lockstep Aberth-Ehrlich iteration above, with companion-matrix
-eigenvalues for slices still running at its iteration cap.
-``KERNEL_BACKEND`` names it.
+The quadrature's slice kernel (``kernels``) is numpy: closed forms for
+degrees 0 and 1, a lockstep Aberth-Ehrlich iteration above, with
+companion-matrix eigenvalues for slices still running at its iteration
+cap. A single one-variable polynomial takes companion-matrix eigenvalues
+directly. ``KERNEL_BACKEND`` names the kernel.
 """
 
 from .degree import (AsymptoteReport, ConvexityReport, DetFunction,

@@ -25,7 +25,11 @@ falls below it: they answer error[overflow] or error[underflow], naming
 the first such t, and exit 1. A JSON result with a field beyond the double
 range (inf, -inf or nan; such as the measure of ``mahler``, ``d_plus`` of
 ``degree`` or ``slope_max`` of ``convexity``) prints nothing and answers
-error[overflow], naming the field, exit 1.
+error[overflow], naming the field, exit 1. ``mahler`` on a constantly-zero
+determinant answers error[degeneracy], exit 3, as ``degree`` does, while
+``eval``, ``torsion`` and ``convexity`` report the zero function. A grid
+of ``convexity`` with fewer than 3 points answers error[bad-grid], and a
+--phi with a coordinate that is not finite error[bad-phi], both exit 1.
 """
 
 from __future__ import annotations
@@ -201,6 +205,9 @@ def _write_csv(out, grid, values, zero_function):
 def _cmd_mahler(args, out):
     doc = _read_input(args.input)
     poly = doc.matrix.determinant()
+    if poly.is_zero:
+        raise ZeroPolynomialError(
+            "the determinant is constantly zero; its measure 0 has no log")
     result = mahler_mv_report(poly, tol=args.tol, max_evals=args.max_evals)
     out.write(render_json({"measure": result.measure,
                            "log_measure": result.log_measure,
@@ -223,6 +230,9 @@ def _cmd_degree(args, out):
 def _cmd_convexity(args, out):
     doc = _read_input(args.input)
     grid = _parse_grid(args.grid)
+    if len(grid) < 3:
+        raise InputError("bad-grid",
+                         f'grid "{args.grid}" needs at least 3 points')
     fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
     report = convexity_check(fn, grid, tol=args.tol)
     obj = {
@@ -273,6 +283,8 @@ def _cmd_scenario(args, out):
             phi = tuple(float(p) for p in parts)
         except ValueError:
             raise InputError("bad-phi", f'--phi "{args.phi}" is not numeric')
+        if not all(math.isfinite(x) for x in phi):
+            raise InputError("bad-phi", f'--phi "{args.phi}" is not finite')
         try:
             rows.append(_scenario_row(phi))
         except ValueError as exc:

@@ -97,8 +97,7 @@ class DetFunction:
             self._rootdata = roots(self.det_poly)
         return self._rootdata
 
-    def log_eval(self, t: float, tol: float = 1e-8,
-                 max_evals: int = DEFAULT_NODE_BUDGET) -> float:
+    def log_eval(self, t: float, tol: float = 1e-8) -> float:
         """log V(t) (-inf for the zero function).
 
         Exact (closed form on the root factorization) in one variable;
@@ -113,14 +112,13 @@ class DetFunction:
             logv = log_scaled_mahler_from_roots(self._roots1v(), log_s1)
         else:
             q, log_scale = twist(self.det_poly, self.cohom, t)
-            logm, _ = log_mahler_mv(q, tol, NodeBudget(max_evals))
+            logm, _ = log_mahler_mv(q, tol, NodeBudget(DEFAULT_NODE_BUDGET))
             logv = logm + log_scale
         return logv / self.index_divisor
 
-    def eval(self, t: float, tol: float = 1e-8,
-             max_evals: int = DEFAULT_NODE_BUDGET) -> float:
+    def eval(self, t: float, tol: float = 1e-8) -> float:
         """V(t), saturating to inf if it exceeds the double range."""
-        return saturating_exp(self.log_eval(t, tol, max_evals))
+        return saturating_exp(self.log_eval(t, tol))
 
     def asymptote(self, tol: float = 1e-8) -> AsymptoteReport:
         if self.is_zero:

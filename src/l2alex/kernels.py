@@ -3,13 +3,14 @@
 Given a polynomial sum_t coefs[t] * z^{inner[t]} * (outer phase factor), each
 quadrature node i fixes the outer phases and leaves a one-variable polynomial
 whose log Mahler measure is log|lead| + sum log(max(1, |root|)) by Jensen's
-formula. Degrees 0-2 are handled in closed form. Higher degrees get their
-roots from a lockstep Aberth-Ehrlich iteration in numpy (Aberth, "Iteration
-methods for finding all zeros of a polynomial simultaneously", 1973), which
-advances every row of a degree block at once and stops each root by the
-rule of Bini's MPSolve ("Numerical computation of polynomial zeros by means
-of Aberth's method", 1996); rows still running at the iteration cap fall
-back to companion-matrix eigenvalues. ``KERNEL_BACKEND`` names the kernel.
+formula. Degrees 0 and 1 are handled in closed form. Every higher degree
+gets its roots from a lockstep Aberth-Ehrlich iteration in numpy (Aberth,
+"Iteration methods for finding all zeros of a polynomial simultaneously",
+1973), which advances every row of a degree block at once and stops each
+root by the rule of Bini's MPSolve ("Numerical computation of polynomial
+zeros by means of Aberth's method", 1996); rows still running at the
+iteration cap fall back to companion-matrix eigenvalues.
+``KERNEL_BACKEND`` names the kernel.
 
 Warm starts: the rows of a batch come in groups of GL_ORDER consecutive
 nodes, one group per quadrature panel. The first row of each group in a
@@ -21,7 +22,8 @@ to the iteration's accuracy rather than bitwise; a given batch always gives
 bit-identical results.
 
 The slice construction, the grouping by degree and the companion roots are
-shared with ``mahler``'s root finding and breakpoint search.
+shared with ``mahler``'s root finding and breakpoint search: a single
+polynomial takes ``companion_roots``, a batch of slices this iteration.
 """
 
 import numpy as np
@@ -115,15 +117,6 @@ def _block_log_mahler(block, d, rows):
         return np.log(np.abs(block[:, 0]))
     if d == 1:
         return np.log(np.maximum(np.abs(block[:, 1]), np.abs(block[:, 0])))
-    if d == 2:
-        c0, c1, c2 = block[:, 0], block[:, 1], block[:, 2]
-        disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-        r1 = (-c1 + disc) / (2.0 * c2)
-        r2 = (-c1 - disc) / (2.0 * c2)
-        out = np.log(np.abs(c2))
-        out += np.maximum(0.0, np.log(np.abs(r1)))
-        out += np.maximum(0.0, np.log(np.abs(r2)))
-        return out
     # the first row of each group of GL_ORDER batch rows starts cold, the
     # others from its roots
     group = rows // GL_ORDER

@@ -62,10 +62,6 @@ class RootData:
     power: int
     roots: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.roots)
-
 
 @dataclass(frozen=True)
 class MonomialPiece:
@@ -93,8 +89,10 @@ def _reconstruction_error(lead, rts, coeffs):
     Low degrees compare coefficients from direct expansion. Beyond that the
     sequential convolution itself becomes the unstable step (intermediate
     coefficients of partial products can dwarf the final ones), so the
-    factorization is compared by values on the circle that dominates every
-    coefficient (Cauchy bound radius).
+    factorization is compared by values on the circle |z| = R that dominates
+    every root, as p(R w) / R^d on |w| = 1: coefficients c_k R^(k-d) and
+    roots b / R, so that no power of R can overflow. A mismatch that is not
+    finite is returned as such; callers must count it as a failure.
     """
     scale = float(np.max(np.abs(coeffs)))
     d = len(coeffs) - 1
@@ -104,17 +102,16 @@ def _reconstruction_error(lead, rts, coeffs):
             recon = np.convolve(recon,
                                 np.array([-b, 1.0], dtype=np.complex128))
         return float(np.max(np.abs(recon - coeffs))) / scale
-    radius = max(1.0, float(np.max(np.abs(rts))) if len(rts) else 1.0)
-    angles = 2.0 * np.pi * (np.arange(2 * d + 3) + 0.39) / (2 * d + 3)
-    zs = radius * np.exp(1j * angles)
-    direct = np.polyval(coeffs[::-1], zs)
-    factored = np.full_like(zs, lead)
-    for b in rts:
-        factored *= zs - b
-    denom = float(np.max(np.abs(direct)))
-    if denom == 0.0:
-        return math.inf
-    return float(np.max(np.abs(direct - factored))) / denom
+    radius = max(1.0, float(np.max(np.abs(rts))))
+    ws = np.exp(2j * np.pi * (np.arange(2 * d + 3) + 0.39) / (2 * d + 3))
+    with np.errstate(all="ignore"):
+        scaled = coeffs / scale * radius ** np.arange(-d, 1.0)
+        direct = np.polyval(scaled[::-1], ws)
+        factored = np.full_like(ws, lead / scale)
+        for b in rts / radius:
+            factored *= ws - b
+        return float(np.max(np.abs(direct - factored))
+                     / np.max(np.abs(direct)))
 
 
 def _univariate_coeffs(q: LaurentPoly):
@@ -134,45 +131,23 @@ def _univariate_coeffs(q: LaurentPoly):
 def roots(q: LaurentPoly) -> RootData:
     """Factor a nonzero one-variable Laurent polynomial.
 
-    Strips the monomial factor z^n, then finds all roots of the residual
-    polynomial from companion-matrix eigenvalues with one guarded Newton
-    polish pass. The factorization is verified by reconstructing the
-    coefficients (1e-9 relative); IllConditionedError if it fails.
+    Strips the monomial factor z^n, then takes the roots of the residual
+    polynomial from companion-matrix eigenvalues (``kernels.companion_roots``),
+    which are the exact roots of a nearby polynomial (Edelman & Murakami,
+    "Polynomial roots from companion matrix eigenvalues", 1995). That is
+    checked once, by reconstructing the polynomial from its factorization
+    (1e-9 relative); IllConditionedError if the mismatch is larger or not
+    finite.
     """
     parsed = _univariate_coeffs(q)
     if parsed is None:
         raise ZeroPolynomialError("the zero polynomial has no root data")
     n, coeffs = parsed
-    d = len(coeffs) - 1
     lead = complex(coeffs[-1])
-    if d == 0:
+    if len(coeffs) == 1:
         return RootData(lead, n, ())
-
     rts = kernels.companion_roots(coeffs[None, :])[0]
-
-    # polish on coefficients scaled to max |c| = 1 (same roots), so that
-    # coefficients near the top of the double range cannot overflow polyval
-    unit = coeffs / np.max(np.abs(coeffs))
-    deriv = unit[1:] * np.arange(1, d + 1)
-    pv = np.polyval(unit[::-1], rts)
-    dv = np.polyval(deriv[::-1], rts)
-    ok = np.abs(dv) > 0
-    step = np.zeros_like(rts)
-    step[ok] = pv[ok] / dv[ok]
-    polished = np.where(
-        np.abs(np.polyval(unit[::-1], rts - step)) <= np.abs(pv),
-        rts - step, rts)
-
-    # Newton improves simple roots but skews root clusters (multiple roots),
-    # whose raw eigenvalues already reconstruct well; keep whichever
-    # candidate set reproduces the polynomial better.
-    err_raw = _reconstruction_error(lead, rts, coeffs)
-    err_pol = _reconstruction_error(lead, polished, coeffs)
-    if err_pol <= err_raw:
-        rts, err = polished, err_pol
-    else:
-        err = err_raw
-    if err > _RECONSTRUCTION_RTOL:
+    if not _reconstruction_error(lead, rts, coeffs) <= _RECONSTRUCTION_RTOL:
         raise IllConditionedError(
             "root finding failed the reconstruction check; "
             "the input polynomial is too ill-conditioned")
@@ -223,7 +198,9 @@ def monomial_profile(p: LaurentPoly, sigma1: float) -> list:
         raise ZeroPolynomialError("profile undefined for the zero polynomial")
     rd = roots(p)
     if sigma1 == 0:
-        return [MonomialPiece(0.0, math.inf, mahler_1v(p), 0.0)]
+        return [MonomialPiece(
+            0.0, math.inf,
+            saturating_exp(log_scaled_mahler_from_roots(rd, 0.0)), 0.0)]
 
     moduli = sorted(abs(b) for b in rd.roots)
     absd = abs(rd.leading)
@@ -423,7 +400,7 @@ def _real_roots(half, noise, even):
     coeffs = coeffs[big[0]:big[-1] + 1]
     if len(coeffs) < 2:
         return np.empty(0)
-    ws = np.polynomial.polynomial.polyroots(coeffs)
+    ws = kernels.companion_roots(coeffs[None, :])[0]
     return np.angle(ws[np.abs(np.abs(ws) - 1.0) <= _TORIC_RADIUS])
 
 

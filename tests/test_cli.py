@@ -523,6 +523,33 @@ class TestExitCodes:
         code, _, err = run_cli(["degree", "--input", str(path)], capsys)
         assert code == 3
 
+    def test_zero_determinant_mahler_is_degenerate(self, tmp_path, capsys):
+        # M = 0 has no log; degree refuses the zero function the same way
+        path = tmp_path / "zero.json"
+        path.write_text(entry_doc(""))
+        code, out, err = run_cli(["mahler", "--input", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error[degeneracy]:")
+
+    @pytest.mark.parametrize("grid", ["1:4:2", "1:4:1"])
+    def test_convexity_short_grid_refused(self, quadratic_file, capsys,
+                                          grid):
+        code, out, err = run_cli(["convexity", "--input", quadratic_file,
+                                  "--grid", grid], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[bad-grid]:")
+
+    @pytest.mark.parametrize("phi", ["nan,nan,nan", "1e308,1e308,-2e308"])
+    def test_scenario_non_finite_phi_refused(self, capsys, phi):
+        # -2e308 parses as -inf
+        code, out, err = run_cli(["scenario", "section9", "--phi", phi],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[bad-phi]:")
+
 
 class TestExtremeT:
     @pytest.mark.parametrize("doc", sorted(STEEP_DOCS))
@@ -562,7 +589,7 @@ def test_import_leaves_fft_unloaded():
 
 
 def test_huge_coefficients_print_only_the_error(tmp_path):
-    # the root polish must not overflow numpy (a RuntimeWarning on stderr)
+    # root finding must not overflow numpy (a RuntimeWarning on stderr)
     # when the coefficients are near the top of the double range
     path = tmp_path / "huge.json"
     path.write_text(scaled_doc({(0,): 1, (1,): 1, (2,): -1}, 1.5e308))

@@ -1,13 +1,16 @@
 import cmath
 import math
+import random
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from l2alex import (CohomClass, LaurentPoly, QuadratureBudgetError,
-                    ZeroPolynomialError, mahler_1v, mahler_mv,
-                    mahler_mv_report, monomial_profile, profile_value, roots,
-                    scaled_mahler_1v, twist)
+from l2alex import (CohomClass, IllConditionedError, LaurentPoly,
+                    QuadratureBudgetError, ZeroPolynomialError, mahler_1v,
+                    mahler_mv, mahler_mv_report, monomial_profile,
+                    profile_value, roots, scaled_mahler_1v, twist)
 from l2alex import kernels as kernel_mod
 from l2alex import mahler as mahler_mod
 from l2alex.mahler import log_mahler_mv
@@ -65,6 +68,68 @@ class TestRoots:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             roots(LaurentPoly.zero(1))
+
+    def test_companion_roots_checked_once(self, monkeypatch):
+        # the factorization is the companion eigenvalues, unpolished, and
+        # the reconstruction check runs once
+        calls = []
+        check = mahler_mod._reconstruction_error
+
+        def counted(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(mahler_mod, "_reconstruction_error", counted)
+        _, coeffs = mahler_mod._univariate_coeffs(LEHMER)
+        eig = kernel_mod.companion_roots(coeffs[None, :])[0]
+        rd = roots(LEHMER)
+        assert len(calls) == 1
+        order = np.lexsort((eig.imag, eig.real))
+        assert rd.roots == tuple(complex(b) for b in eig[order])
+
+    def test_huge_root_beside_small_ones(self):
+        # z^40 - 1e8 z^39 + 1: one root near 1e8, the others inside the
+        # circle; the check evaluates on |z| = 1e8 without overflow
+        p = P(1, {(40,): 1, (39,): -1e8, (0,): 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_m = mahler_mod.log_scaled_mahler_from_roots(roots(p), 0.0)
+        assert log_m == pytest.approx(math.log(1e8), abs=1e-12)
+
+    def test_check_rejects_a_wrong_root(self, monkeypatch):
+        # the largest root scaled by 1.5 must fail the check, also where
+        # the check's circle is far beyond the double range to the 40th
+        companion = kernel_mod.companion_roots
+
+        def skewed(block):
+            rts = companion(block)
+            rts[0, np.argmax(np.abs(rts[0]))] *= 1.5
+            return rts
+
+        monkeypatch.setattr(kernel_mod, "companion_roots", skewed)
+        for p in (P(1, {(40,): 1, (39,): -1e8, (0,): 1}), LEHMER):
+            with pytest.raises(IllConditionedError):
+                roots(p)
+
+    def test_random_integer_polynomials_against_mpmath(self):
+        # 40 seeded integer polynomials of degree 3-20 against Jensen's
+        # formula on 30-digit roots
+        gen = random.Random(1995)
+        worst = 0.0
+        for _ in range(40):
+            d = gen.randint(3, 20)
+            coeffs = [gen.randint(-9, 9) for _ in range(d + 1)]
+            coeffs[0] = coeffs[0] or 1
+            coeffs[-1] = coeffs[-1] or -1
+            p = P(1, {(k,): c for k, c in enumerate(coeffs) if c})
+            got = math.log(mahler_1v(p))
+            with mpmath.workdps(30):
+                rts = mpmath.polyroots(coeffs[::-1], maxsteps=200,
+                                       extraprec=100)
+                exact = mpmath.log(abs(coeffs[-1])) + sum(
+                    max(mpmath.mpf(0), mpmath.log(abs(r))) for r in rts)
+            worst = max(worst, abs(got - float(exact)))
+        assert worst <= 5e-14
 
 
 class TestMahler1v:
