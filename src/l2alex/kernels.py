@@ -12,14 +12,15 @@ zeros by means of Aberth's method", 1996); rows still running at the
 iteration cap fall back to companion-matrix eigenvalues.
 ``KERNEL_BACKEND`` names the kernel.
 
-Warm starts: the rows of a batch come in groups of GL_ORDER consecutive
-nodes, one group per quadrature panel. The first row of each group in a
-degree block starts from points on a circle; the others start from its
-roots, which lie close to theirs, since the nodes are neighbours and no
-root crosses |z| = 1 inside a panel that lies between toric points. A row's
-roots therefore depend on its group, and agree with those of the row alone
-to the iteration's accuracy rather than bitwise; a given batch always gives
-bit-identical results.
+Warm starts: the rows of a batch come in groups of PANEL_NODES (15)
+consecutive nodes, one group per Gauss-Kronrod panel of the quadrature, in
+ascending order. The first row of each group in a degree block, the
+panel's leftmost node, starts from points on a circle; the others start
+from its roots, which lie close to theirs, since the nodes are neighbours
+and no root crosses |z| = 1 inside a panel that lies between toric points.
+A row's roots therefore depend on its group, and agree with those of the
+row alone to the iteration's accuracy rather than bitwise; a given batch
+always gives bit-identical results.
 
 The slice construction, the grouping by degree and the companion roots are
 shared with ``mahler``'s root finding and breakpoint search: a single
@@ -28,7 +29,7 @@ polynomial takes ``companion_roots``, a batch of slices this iteration.
 
 import numpy as np
 
-from .quadrature import GL_ORDER
+from .quadrature import PANEL_NODES
 
 KERNEL_BACKEND = "python"
 
@@ -117,9 +118,9 @@ def _block_log_mahler(block, d, rows):
         return np.log(np.abs(block[:, 0]))
     if d == 1:
         return np.log(np.maximum(np.abs(block[:, 1]), np.abs(block[:, 0])))
-    # the first row of each group of GL_ORDER batch rows starts cold, the
+    # the first row of each group of PANEL_NODES batch rows starts cold, the
     # others from its roots
-    group = rows // GL_ORDER
+    group = rows // PANEL_NODES
     first = np.ones(len(rows), dtype=bool)
     first[1:] = group[1:] != group[:-1]
     leader = np.flatnonzero(first)[np.cumsum(first) - 1]

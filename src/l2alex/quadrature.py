@@ -1,28 +1,31 @@
-"""Adaptive Gauss-Legendre quadrature on the circle, batched and deterministic.
+"""Adaptive Gauss-Kronrod quadrature on the circle, batched and deterministic.
 
 The integrands here are means of log-magnitude functions over [0, 2pi): they
 are piecewise smooth, with corners where a slice root crosses the unit circle
 and integrable log singularities where the polynomial vanishes on the torus.
 Uniform panel refinement converges only like h^2 across such points, so the
-integrator bisects panels adaptively instead: each panel carries an embedded
-error estimate |GL(panel) - GL(left half) - GL(right half)|, and every sweep
-splits all panels whose estimate exceeds an equidistributed share of the
-target. Smooth panels converge at Gauss-Legendre speed; corner and
-singularity panels shrink geometrically around the bad point.
+integrator bisects panels adaptively instead. Each panel is evaluated once,
+by QUADPACK's 15-point Gauss-Kronrod rule (Piessens et al., *QUADPACK*,
+1983, ``qk15``): the Kronrod sum K15 is the panel's value, and its embedded
+7-point Gauss sum G7, over every other node, gives the error estimate
+|K15 - G7|. Every sweep bisects all panels whose estimate exceeds an
+equidistributed share of the target, at 15 new nodes per half. Smooth
+panels converge at the rule's full order; corner and singularity panels
+shrink geometrically around the bad point.
 
 Breakpoints: a caller that knows where the corners are passes them as
-breaks=, and the starting panels are split there (as QUADPACK's QAGP does),
-so every corner sits on a panel edge. Between breaks the integrand is
-smooth and Gauss-Legendre converges at its full speed; a corner inside a
-panel is seen only by nodes that happen to fall near it, and a narrow
-feature between two close corners can fall between all of them while both
-estimates agree. A break within _BREAK_GAP of an edge adds no panel.
+breaks=, and the 8 starting panels are split there (as QUADPACK's QAGP
+does), so every corner sits on a panel edge. Between breaks the integrand is
+smooth and the rule converges at its full speed; a corner inside a panel is
+seen only by nodes that happen to fall near it, and a narrow feature
+between two close corners can fall between all of them while both sums
+agree. A break within _BREAK_GAP of an edge adds no panel.
 
 Symmetry: a caller whose integrand is even, f(-t) = f(t), passes even=True
 and only [0, pi) is swept. This is the case for the slice log-measures of a
 polynomial with real coefficients: the slice at -t is the complex conjugate
 of the slice at t and has the same root moduli. The half sweep starts from
-the first 8 of the 16 full-circle panels, and both its error sum and its
+the first 4 of the 8 full-circle panels, and both its error sum and its
 target are half the full-circle ones, so it refines exactly the panels of
 [0, pi) that the full sweep would, at half the nodes. Breaks fold into
 [0, pi] by t -> 2pi - t, which is where the corners of an even integrand
@@ -41,17 +44,43 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureBudgetError
 
-GL_ORDER = 8
-_NODES, _WEIGHTS = leggauss(GL_ORDER)
+# QUADPACK qk15 on [-1, 1]: the Kronrod abscissae and weights from x = 1 down
+# to the centre; the 7 Gauss nodes are every other one, from the second on.
+_XGK = (0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.0)
+_WGK = (0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082,
+       0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975,
+       0.417959183673469387755102040816327)
+
+PANEL_NODES = 2 * len(_XGK) - 1
+# nodes in ascending order; columns: Kronrod weights, Gauss weights
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_WEIGHTS = np.zeros((PANEL_NODES, 2))
+_WEIGHTS[:, 0] = _WGK[:-1] + _WGK[::-1]
+_WEIGHTS[1::2, 1] = _WG[:-1] + _WG[::-1]
 TWO_PI = 2.0 * np.pi
 
 DEFAULT_NODE_BUDGET = 2_000_000
 ROUNDOFF_FLOOR = 2.0 ** -40
-_INITIAL_PANELS = 16
+_INITIAL_PANELS = 8
 _MIN_WIDTH = TWO_PI * 2.0 ** -52
 _BREAK_GAP = 1e-9
 
@@ -70,21 +99,20 @@ class NodeBudget:
         return True
 
 
-def _gl_batch(f, lefts, widths):
-    """Gauss-Legendre integrals of f over panels [left, left+width).
+def _gk_batch(f, lefts, widths):
+    """(K15, |K15 - G7|) of f over each panel [left, left+width).
 
-    One batched call to f evaluates all panels' nodes at once, the GL_ORDER
-    nodes of panel i at rows GL_ORDER*i onwards; per-panel sums run in node
-    order. The slice kernel warm-starts each such group of rows from its
-    first row, so the same nodes batched in other groups agree to the
-    kernel's rounding, not bitwise (3.6e-15 on curves2v slices shifted by
-    three rows); with the panels' own groups, as here, they agreed bitwise.
-    A given batch always gives bit-identical results.
+    One batched call to f evaluates all panels' nodes at once, the
+    PANEL_NODES nodes of panel i in ascending order at rows PANEL_NODES*i
+    onwards; per-panel sums run in node order. The slice kernel warm-starts
+    each such group of rows from its first row, so the same nodes batched
+    in other groups agree to the kernel's rounding, not bitwise. A given
+    batch always gives bit-identical results.
     """
     half = 0.5 * widths
     nodes = lefts[:, None] + half[:, None] * (_NODES[None, :] + 1.0)
-    vals = f(nodes.reshape(-1)).reshape(nodes.shape)
-    return half * (vals @ _WEIGHTS)
+    sums = f(nodes.reshape(-1)).reshape(nodes.shape) @ _WEIGHTS
+    return half * sums[:, 0], np.abs(half * (sums[:, 0] - sums[:, 1]))
 
 
 def _initial_panels(span, n_init, breaks, even):
@@ -143,29 +171,23 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
     tol_total = max(tol, 1e-15) * span
     value, err_sum = math.nan, math.inf    # until the first sweep completes
 
-    def gl_batch(lefts, widths):
+    def gk_batch(lefts, widths):
         try:
-            return _gl_batch(f, lefts, widths)
+            return _gk_batch(f, lefts, widths)
         except QuadratureBudgetError as exc:
             raise QuadratureBudgetError(str(exc), value / span,
                                         err_sum / span) from None
 
     lefts, widths = _initial_panels(
         span, _INITIAL_PANELS // 2 if even else _INITIAL_PANELS, breaks, even)
-    n_init = len(lefts)
     start_used = budget.used
     exhausted = (f"quadrature node budget exhausted "
                  f"({budget.limit} evaluations)")
-    if not budget.charge(3 * n_init * GL_ORDER):
+    if not budget.charge(len(lefts) * PANEL_NODES):
         raise QuadratureBudgetError(exhausted, value, err_sum)
-    coarse = gl_batch(lefts, widths)
-    half_l = gl_batch(lefts, widths / 2)
-    half_r = gl_batch(lefts + widths / 2, widths / 2)
 
-    # panel record: (left, width, I_left_half, I_right_half, err)
-    panels = [(lefts[i], widths[i], half_l[i], half_r[i],
-               abs(coarse[i] - half_l[i] - half_r[i]))
-              for i in range(n_init)]
+    # panel record: (left, width, K15, |K15 - G7|)
+    panels = list(zip(lefts, widths, *gk_batch(lefts, widths)))
 
     def totals():
         ordered = sorted(panels, key=lambda rec: rec[0])
@@ -173,9 +195,9 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
         err = 0.0
         mag = 0.0
         for rec in ordered:
-            val += rec[2] + rec[3]
-            err += rec[4]
-            mag += abs(rec[2]) + abs(rec[3])
+            val += rec[2]
+            err += rec[3]
+            mag += abs(rec[2])
         return val, err, mag
 
     while True:
@@ -187,9 +209,9 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
 
         threshold = tol_total / max(len(panels), 1)
         split = [rec for rec in panels
-                 if rec[4] > threshold and rec[1] > _MIN_WIDTH]
+                 if rec[3] > threshold and rec[1] > _MIN_WIDTH]
         if not split:
-            worst = max(panels, key=lambda rec: (rec[4], rec[0]))
+            worst = max(panels, key=lambda rec: (rec[3], rec[0]))
             if worst[1] <= _MIN_WIDTH:
                 raise QuadratureBudgetError(
                     "panels at minimum width before reaching tolerance",
@@ -197,26 +219,16 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
             split = [worst]
         split.sort(key=lambda rec: rec[0])
 
-        cost = 4 * len(split) * GL_ORDER
-        if not budget.charge(cost):
+        if not budget.charge(2 * len(split) * PANEL_NODES):
             raise QuadratureBudgetError(exhausted, value / span,
                                         err_sum / span)
 
         split_ids = {id(rec) for rec in split}
         keep = [rec for rec in panels if id(rec) not in split_ids]
-        q_lefts = np.empty(4 * len(split))
-        q_widths = np.empty(4 * len(split))
-        for k, rec in enumerate(split):
-            a, h = rec[0], rec[1]
-            q = h / 4
-            q_lefts[4 * k:4 * k + 4] = (a, a + q, a + 2 * q, a + 3 * q)
-            q_widths[4 * k:4 * k + 4] = q
-        quarters = gl_batch(q_lefts, q_widths)
-        for k, rec in enumerate(split):
-            a, h, il, ir, _ = rec
-            q0, q1, q2, q3 = quarters[4 * k:4 * k + 4]
-            keep.append((a, h / 2, q0, q1, abs(il - q0 - q1)))
-            keep.append((a + h / 2, h / 2, q2, q3, abs(ir - q2 - q3)))
+        h_widths = np.repeat([rec[1] / 2 for rec in split], 2)
+        h_lefts = np.repeat([rec[0] for rec in split], 2)
+        h_lefts[1::2] += h_widths[1::2]
+        keep.extend(zip(h_lefts, h_widths, *gk_batch(h_lefts, h_widths)))
         panels = keep
 
 

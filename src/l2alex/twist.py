@@ -29,6 +29,7 @@ powers coincide.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -129,8 +130,7 @@ class CohomClass:
         """Phi v in Z^d (requires the decomposition)."""
         if not self.has_decomposition:
             raise ValueError("class has no exact decomposition")
-        return tuple(sum(row[j] * exp[j] for j in range(len(exp)))
-                     for row in self.phi)
+        return tuple([sum(map(operator.mul, row, exp)) for row in self.phi])
 
     def scaled(self, c: float) -> "CohomClass":
         """The class c * sigma, with the decomposition carried along."""

@@ -7,7 +7,7 @@ import pytest
 from l2alex import kernels
 from l2alex.kernels import (KERNEL_BACKEND, batch_log_mahler,
                             companion_roots, slice_coefficients)
-from l2alex.quadrature import GL_ORDER
+from l2alex.quadrature import PANEL_NODES
 
 
 def _random_batch(rng, nterms=7, nodes=60, depth=6):
@@ -113,7 +113,7 @@ class TestAberth:
     @pytest.mark.parametrize("d", range(3, 13))
     def test_against_mpmath(self, d):
         rng = np.random.default_rng(100 + d)
-        coefs, inner, phases = _dense_batch(rng, d, 2 * GL_ORDER)
+        coefs, inner, phases = _dense_batch(rng, d, 2 * PANEL_NODES)
         logm, zero = batch_log_mahler(coefs, inner, phases, 1e-13)
         assert not zero.any()
         slices = slice_coefficients(coefs, inner, phases)
@@ -137,7 +137,7 @@ class TestAberth:
         coefs = np.array([1, 1, -2, -1, 1, -1, 1], dtype=np.complex128)
         inner = np.array([0, 0, 1, 1, 2, 2, 3], dtype=np.int64)
         outer = np.array([0, 1, 0, 1, 0, 1, 1])
-        theta = np.linspace(0.05, 3.0, 3 * GL_ORDER)
+        theta = np.linspace(0.05, 3.0, 3 * PANEL_NODES)
         logm, _ = batch_log_mahler(coefs, inner, theta[:, None] * outer,
                                    1e-13)
         exact = np.maximum(0.0, np.log(np.abs(1.0 + np.exp(1j * theta))))
@@ -146,7 +146,7 @@ class TestAberth:
 
     def test_capped_rows_use_companion_roots(self, monkeypatch):
         rng = np.random.default_rng(7)
-        coefs, inner, phases = _dense_batch(rng, 9, 3 * GL_ORDER)
+        coefs, inner, phases = _dense_batch(rng, 9, 3 * PANEL_NODES)
         aberth, _ = batch_log_mahler(coefs, inner, phases, 1e-13)
         capped_rows = []
 

@@ -348,7 +348,7 @@ class TestMahlerMV:
         monkeypatch.setattr(mahler_mod, "adaptive_circle_mean", full_circle)
         full_budget = NodeBudget()
         full = log_mahler_mv(p, 1e-8, full_budget)
-        assert 2 * half_budget.used == full_budget.used == 432
+        assert 2 * half_budget.used == full_budget.used == 150
         assert half[0] == pytest.approx(full[0], abs=1e-14)
 
     def test_smyth_three_variables_within_default_budget(self):
@@ -359,7 +359,7 @@ class TestMahlerMV:
     def test_nested_budget_error_reports_overall_estimate(self):
         # nan until the outermost integral completes its first sweep
         finite = 0
-        for max_evals in (1000, 100_003, 300_001, 700_001):
+        for max_evals in (1000, 10_003, 30_001, 70_001):
             with pytest.raises(QuadratureBudgetError) as info:
                 mahler_mv(P(3, SMYTH_3V), max_evals=max_evals)
             best = info.value.best_estimate
@@ -441,7 +441,8 @@ def recorded_breaks(monkeypatch):
 
 class TestToricBreaks:
     def test_curve5_within_reported_tolerance(self):
-        # without breaks: 3.8e-8 off while reporting 5.7e-9
+        # a start blind to the crossings can miss them: Gauss-Legendre
+        # panels without breaks were 3.8e-8 off here while reporting 5.7e-9
         rep = mahler_mv_report(P(2, CURVE5))
         assert abs(rep.log_measure - CURVE5_LOG) <= rep.achieved_tol
 
@@ -557,3 +558,24 @@ class TestToricBreaks:
         mahler_mv_report(P(3, {(1, 1, 1): 1, (1, 1, 0): -3, (0, 0, 1): -2,
                                (0, 0, 0): 6}), 1e-5)
         assert seen and all(b == [] for b in seen)
+
+
+def _unimodular(rng):
+    """A random 2x2 integer matrix of determinant +-1, entries in -3..3."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if abs(a * d - b * c) == 1:
+            return a, b, c, d
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_smyth_under_unimodular_maps_within_reported_error(tol):
+    # (1 + x + y) o A for unimodular A has the terms 1, x^a y^c, x^b y^d,
+    # and measure m(1 + x + y); the crossings move with A, and so do the
+    # bidegree and which variable is the Jensen one
+    rng = random.Random(20240601)
+    for _ in range(20):
+        a, b, c, d = _unimodular(rng)
+        rep = mahler_mv_report(P(2, {(0, 0): 1, (a, c): 1, (b, d): 1}), tol)
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol, \
+            (a, b, c, d)

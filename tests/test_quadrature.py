@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from l2alex import QuadratureBudgetError, geometric_grid
-from l2alex.quadrature import (ROUNDOFF_FLOOR, NodeBudget,
+from l2alex.quadrature import (_NODES, _WEIGHTS, PANEL_NODES,
+                               ROUNDOFF_FLOOR, NodeBudget, _gk_batch,
                                adaptive_circle_mean)
 
 
@@ -65,8 +66,8 @@ class TestAdaptiveCircleMean:
     def test_nested_budget_error_reports_outer_estimate(self):
         # the mean of 2 + (mean of cos^2) + |sin(s - 0.3)| is 2.5 + 2/pi;
         # the inner integrals run out partway through the outer refinement
-        # (the whole integral takes 443,520 nodes)
-        budget = NodeBudget(250_000)
+        # (the whole integral takes 123,420 nodes)
+        budget = NodeBudget(90_000)
 
         def outer(s):
             return np.array([2.0 + adaptive_circle_mean(
@@ -116,8 +117,8 @@ class TestBreaks:
         split = adaptive_circle_mean(smyth_slice, 1e-12, breaks=SMYTH_BREAKS)
         for mean, err, _ in (plain, split):
             assert abs(mean - SMYTH_LOG) <= err
-        # 18 panels of 3 x 8 nodes and no refinement
-        assert split[2] == 18 * 24 < plain[2]
+        # 10 panels of 15 nodes and no refinement
+        assert split[2] == 10 * 15 < plain[2]
 
     def test_even_folds_breaks(self):
         full_budget, half_budget = NodeBudget(), NodeBudget()
@@ -131,7 +132,7 @@ class TestBreaks:
     def test_breaks_at_edges_add_no_panel(self):
         plain = adaptive_circle_mean(np.cos, 1e-10)
         edged = adaptive_circle_mean(np.cos, 1e-10,
-                                     breaks=(0.0, np.pi / 8, -1e-12,
+                                     breaks=(0.0, np.pi / 4, -1e-12,
                                              2 * np.pi))
         assert edged[2] == plain[2]
         assert edged[0] == pytest.approx(plain[0], abs=1e-15)
@@ -145,10 +146,10 @@ class TestTolerance:
 
     @pytest.mark.parametrize("scale, tol", [(1.0, 1e-14), (1e6, 1e-6)])
     def test_roundoff_floor(self, scale, tol):
-        # GL8 on 16 panels integrates cos^2 to rounding, so the embedded
-        # estimate reads ~1e-17 per unit of scale; the report keeps the
-        # floor, scaled by the integrand's mean magnitude (here scale / 2)
-        # when that exceeds 1
+        # G7 and K15 on 8 panels integrate cos^2 to rounding, so the
+        # embedded estimate reads ~1e-16 per unit of scale; the report keeps
+        # the floor, scaled by the integrand's mean magnitude (here
+        # scale / 2) when that exceeds 1
         mean, err, _ = adaptive_circle_mean(
             lambda t: scale * np.cos(t) ** 2, tol)
         assert mean == pytest.approx(scale / 2, rel=1e-15)
@@ -178,3 +179,32 @@ class TestGeometricGrid:
             geometric_grid(2.0, 1.0, 5)
         with pytest.raises(ValueError):
             geometric_grid(1e-300, 1e300, 3)   # hi/lo overflows
+
+
+def _monomial_integral(k):
+    """The integral of x^k over [-1, 1]."""
+    return 0.0 if k % 2 else 2.0 / (k + 1)
+
+
+class TestKronrodRule:
+    # the panel rule on [-1, 1]: columns of _WEIGHTS are the 15-point
+    # Kronrod rule and its embedded 7-point Gauss rule
+    def test_nodes_ascending(self):
+        assert len(_NODES) == PANEL_NODES == 15
+        assert np.all(np.diff(_NODES) > 0)
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_kronrod_exact_to_degree_22(self, k):
+        assert abs(_NODES ** k @ _WEIGHTS[:, 0]
+                   - _monomial_integral(k)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_gauss_exact_to_degree_13(self, k):
+        assert abs(_NODES ** k @ _WEIGHTS[:, 1]
+                   - _monomial_integral(k)) <= 1e-15
+
+    def test_gauss_inexact_at_degree_14(self):
+        # so the estimate |K15 - G7| of a panel sees an x^14 term
+        lefts, widths = np.array([-1.0]), np.array([2.0])
+        _, err = _gk_batch(lambda x: x ** 14, lefts, widths)
+        assert err[0] == pytest.approx(1.8546591973e-4, rel=1e-9)
