@@ -14,7 +14,7 @@ directly. ``KERNEL_BACKEND`` names the kernel.
 """
 
 from .degree import (AsymptoteReport, ConvexityReport, DetFunction,
-                     LipschitzReport, asymptote, chief_part, convexity_check,
+                     LipschitzReport, chief_part, convexity_check,
                      det_function, lipschitz_degree_check)
 from .errors import (ChiefPartTieError, DegenerateSliceError,
                      IllConditionedError, InputError, L2AlexError,
@@ -22,17 +22,15 @@ from .errors import (ChiefPartTieError, DegenerateSliceError,
                      ZeroMatrixError, ZeroPolynomialError)
 from .kernels import KERNEL_BACKEND
 from .laurent import LaurentMatrix, LaurentPoly
-from .mahler import (MahlerResult, MonomialPiece, RootData, mahler_1v,
-                     mahler_mv, mahler_mv_report, monomial_profile,
-                     profile_value, roots, scaled_mahler_1v)
+from .mahler import MahlerResult, RootData, mahler_mv, mahler_mv_report, roots
 from .quadrature import geometric_grid
 from .torsion3m import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                         V3, ConstantTorsion, FiberedTorsion, GraphTorsion,
                         PresentationTorsion, ProductTorsion, SymmetryReport,
-                        TorsionFunction, TorsionSpec, fibered_torsion, glue,
-                        graph_torsion, hexagon_norm_check, symmetry_check,
-                        torsion_degree, torsion_from_presentation,
-                        triple_figure_eight, triple_figure_eight_torsion)
+                        TorsionFunction, TorsionSpec, hexagon_norm_check,
+                        symmetry_check, torsion_degree,
+                        torsion_from_presentation, triple_figure_eight,
+                        triple_figure_eight_torsion)
 from .twist import CohomClass, exponent_bound, twist
 
 __version__ = "0.1.0"
@@ -43,16 +41,13 @@ __all__ = [
     "FIGURE_EIGHT_ENTROPY", "FIGURE_EIGHT_VOLUME", "GraphTorsion",
     "IllConditionedError", "InputError", "KERNEL_BACKEND", "L2AlexError",
     "LaurentMatrix", "LaurentPoly", "LipschitzReport", "MahlerResult",
-    "MonomialPiece", "PresentationTorsion", "ProductTorsion",
-    "QuadratureBudgetError",
+    "PresentationTorsion", "ProductTorsion", "QuadratureBudgetError",
     "RootData", "SymmetryReport", "TorsionFunction", "TorsionSpec",
     "UNSPECIFIED", "V3", "VariableCountMismatch", "ZeroMatrixError",
-    "ZeroPolynomialError", "asymptote", "chief_part", "convexity_check",
-    "det_function", "exponent_bound", "fibered_torsion",
-    "geometric_grid", "glue", "graph_torsion", "hexagon_norm_check",
-    "lipschitz_degree_check", "mahler_1v", "mahler_mv",
-    "mahler_mv_report", "monomial_profile",
-    "profile_value", "roots", "scaled_mahler_1v", "symmetry_check",
+    "ZeroPolynomialError", "chief_part", "convexity_check",
+    "det_function", "exponent_bound", "geometric_grid",
+    "hexagon_norm_check", "lipschitz_degree_check", "mahler_mv",
+    "mahler_mv_report", "roots", "symmetry_check",
     "torsion_degree", "torsion_from_presentation", "triple_figure_eight",
     "triple_figure_eight_torsion", "twist",
 ]

@@ -12,7 +12,8 @@ number is refused as error[bad-tol], and a --max-evals below 1 as
 error[bad-budget], before any work. A root factorization
 that fails its reconstruction check (an input too ill-conditioned for
 double precision, IllConditionedError) answers error[ill-conditioned],
-exit 3.
+exit 3, as does a float or complex determinant above 4x4 whose ring
+elimination in complex doubles fails.
 A matrix entry with a non-integer exponent, a non-finite coefficient, or
 a coefficient too small beside the entry's largest one to be kept in
 double precision is refused at parse time as error[bad-matrix], naming
@@ -22,7 +23,8 @@ pair with a non-finite value answers error[bad-pairs]. ``eval`` and
 ``torsion`` print no row when a value on the grid
 of a function that is not constantly zero exceeds the double range or
 falls below it: they answer error[overflow] or error[underflow], naming
-the first such t, and exit 1. A JSON result with a field beyond the double
+the first such t, and exit 1. ``convexity`` answers error[underflow] the
+same way. A JSON result with a field beyond the double
 range (inf, -inf or nan; such as the measure of ``mahler``, ``d_plus`` of
 ``degree`` or ``slope_max`` of ``convexity``) prints nothing and answers
 error[overflow], naming the field, exit 1. ``mahler`` on a constantly-zero
@@ -121,23 +123,6 @@ def parse_input(text: str) -> InputDocument:
         raise InputError("bad-index-divisor",
                          f"index_divisor must be a positive integer, got {index!r}")
     return InputDocument(variables, matrix, cohom, tuple(done), index)
-
-
-def serialize_input(doc: InputDocument) -> str:
-    """Full-precision document serialization (round-trips exactly).
-
-    Computed outputs use render_json's %.12g; documents keep every bit.
-    """
-    obj = {
-        "variables": list(doc.variables),
-        "matrix": doc.matrix.to_obj(),
-        "class": doc.cohom.to_obj(),
-    }
-    if doc.pairs:
-        obj["pairs"] = [list(p) for p in doc.pairs]
-    if doc.index_divisor != 1:
-        obj["index_divisor"] = doc.index_divisor
-    return json.dumps(obj)
 
 
 def render_json(obj, key: str = "") -> str:

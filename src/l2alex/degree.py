@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ChiefPartTieError, ZeroMatrixError, ZeroPolynomialError
+from .errors import (ChiefPartTieError, InputError, ZeroMatrixError,
+                     ZeroPolynomialError)
 from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
                      log_mahler_mv, roots, saturating_exp)
@@ -190,10 +191,6 @@ def chief_part(p: LaurentPoly, c: CohomClass, end: str):
     return w, LaurentPoly(p.nvars, groups[w])
 
 
-def asymptote(v: DetFunction, tol: float = 1e-8) -> AsymptoteReport:
-    return v.asymptote(tol)
-
-
 @dataclass
 class ConvexityReport:
     """Midpoint-convexity and slope-range audit of V on a geometric grid."""
@@ -225,7 +222,9 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
     slopes must all fit in one window of width exp_bound + tol: the matrix
     exponent bound R caps deg_b, the total spread of slopes, not |slope|
     itself (V(t) = t from the 1x1 matrix [z] has constant slope 1 with
-    R = 0). A constantly-zero function passes trivially (flagged).
+    R = 0). A constantly-zero function passes trivially (flagged); a value
+    of any other function below the double range raises InputError
+    ("underflow") naming its t.
     """
     grid = [float(t) for t in grid]
     if len(grid) < 3:
@@ -240,6 +239,10 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
         return ConvexityReport(grid, [0.0] * len(grid), zero_function=True)
 
     values = [v.eval(t, eval_tol) for t in grid]
+    for t, x in zip(grid, values):
+        if x == 0.0:
+            raise InputError("underflow", "the value at t=%.12g is below "
+                                          "the double range" % t)
     logs = [math.log(x) for x in values]
     logt = [math.log(t) for t in grid]
 

@@ -10,7 +10,8 @@ class L2AlexError(Exception):
 
 
 class InputError(L2AlexError):
-    """Invalid input document or CLI arguments.
+    """Invalid input document or CLI arguments, or a grid on which a value
+    leaves the double range.
 
     `kind` is a stable machine-readable identifier (e.g. "malformed-json",
     "dimension-mismatch", "bad-index-divisor").
@@ -58,8 +59,9 @@ class DegenerateSliceError(L2AlexError):
 
 
 class IllConditionedError(L2AlexError, ArithmeticError):
-    """A root factorization failed its reconstruction check: the input is
-    too ill-conditioned for double precision."""
+    """A root factorization failed its reconstruction check, or a ring
+    elimination in complex doubles failed: the input is too ill-conditioned
+    for double precision."""
 
 
 class ChiefPartTieError(L2AlexError):

@@ -37,7 +37,8 @@ keeps the sparse path below. Other matrices (complex or non-integer
 coefficients) take cofactor expansion up to 4x4 and Bareiss elimination
 over the ring beyond, in complex doubles, dividing by each previous pivot
 with ``divide_exact``; on integer matrices that path is exact only while
-its products stay below 2^53.
+its products stay below 2^53. An elimination whose rounding leaves a
+division inexact, or whose entries overflow, raises IllConditionedError.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import math
 import operator
 from typing import Iterable, Mapping
 
-from .errors import VariableCountMismatch
+from .errors import IllConditionedError, VariableCountMismatch
 
 _FLOAT_PRUNE_REL = 1e-15
 _INT_EXACT_LIMIT = 2.0 ** 53
@@ -195,16 +196,11 @@ class LaurentPoly:
             self.nvars,
             {tuple(-e for e in exp): c.conjugate() for exp, c in self.terms.items()})
 
-    # -- serialization -----------------------------------------------------
-
-    def to_obj(self) -> list:
-        """Canonical form: terms sorted lexicographically by exponent vector."""
-        return [{"exp": list(e), "re": self.terms[e].real, "im": self.terms[e].imag}
-                for e in sorted(self.terms)]
+    # -- parsing -----------------------------------------------------------
 
     @classmethod
     def from_obj(cls, nvars: int, obj: list) -> "LaurentPoly":
-        """Inverse of ``to_obj``; input is kept exactly or refused.
+        """Parse a list of {"exp", "re", "im"} terms, kept exactly or refused.
 
         An exponent that is not an integer, a coefficient that is not
         finite, or one that construction would prune as negligible beside
@@ -330,8 +326,9 @@ class LaurentMatrix:
 
         Those and all other matrices use cofactor expansion up to 4x4 and
         Bareiss elimination over the ring beyond that, dividing by the
-        previous pivot with ``divide_exact`` in complex doubles. A 0x0
-        matrix has determinant 1; a 1x1 matrix, its entry.
+        previous pivot with ``divide_exact`` in complex doubles
+        (IllConditionedError if that fails). A 0x0 matrix has determinant
+        1; a 1x1 matrix, its entry.
         """
         if self.size == 0:
             return LaurentPoly.one(self.nvars)
@@ -344,9 +341,6 @@ class LaurentMatrix:
         if self.size <= 4:
             return _det_cofactor(self.rows, self.nvars)
         return _det_bareiss(self.rows, self.nvars)
-
-    def to_obj(self) -> list:
-        return [[p.to_obj() for p in row] for row in self.rows]
 
     @classmethod
     def from_obj(cls, nvars: int, obj: list) -> "LaurentMatrix":
@@ -447,8 +441,13 @@ def _bareiss(m, div, one):
 
 
 def _det_bareiss(rows, nvars: int) -> LaurentPoly:
-    return _bareiss([list(r) for r in rows], divide_exact,
-                    LaurentPoly.one(nvars))
+    try:
+        return _bareiss([list(r) for r in rows], divide_exact,
+                        LaurentPoly.one(nvars))
+    except ArithmeticError as exc:
+        raise IllConditionedError(
+            f"ring elimination in complex doubles failed ({exc}); the "
+            "matrix is too ill-conditioned for double precision") from None
 
 
 def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:

@@ -5,8 +5,9 @@ One variable is exact via Jensen's formula: factor p = D z^n prod (z - b_i)
 and M(p) = |D| prod max(1, |b_i|). The scaled variant M(p(cz)) has the
 closed form |D| c^n prod max(c, |b_i|), a piecewise monomial function of c
 whose breakpoints sit at the root moduli; that is what makes one-variable
-determinant functions exactly computable. Both are summed in log space and
-a measure beyond the double range saturates to inf (``saturating_exp``).
+determinant functions exactly computable (``DetFunction`` evaluates it).
+Both are summed in log space and a measure beyond the double range
+saturates to inf (``saturating_exp``).
 
 Several variables reduce to nested one-variable problems: the variable of
 largest exponent spread is integrated exactly by Jensen on each slice (this
@@ -61,19 +62,6 @@ class RootData:
     leading: complex
     power: int
     roots: tuple
-
-
-@dataclass(frozen=True)
-class MonomialPiece:
-    """One monomial piece coeff * t^exponent on the interval (t_lo, t_hi]."""
-
-    t_lo: float
-    t_hi: float
-    coeff: float
-    exponent: float
-
-    def value(self, t: float) -> float:
-        return self.coeff * t ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -163,76 +151,12 @@ def saturating_exp(x: float) -> float:
         return math.inf
 
 
-def mahler_1v(q: LaurentPoly) -> float:
-    """Jensen's formula: M(q) = |D| prod max(1, |b_i|); M(0) = 0."""
-    if q.is_zero:
-        return 0.0
-    return saturating_exp(log_scaled_mahler_from_roots(roots(q), 0.0))
-
-
 def log_scaled_mahler_from_roots(rd: RootData, log_c: float) -> float:
     """log M(p(c z)) from log c, so c itself may lie outside the doubles."""
     out = math.log(abs(rd.leading)) + rd.power * log_c
     for b in rd.roots:
         out += max(log_c, math.log(abs(b)))
     return out
-
-
-def scaled_mahler_1v(p: LaurentPoly, c: float) -> float:
-    """M(p(c z)) = |D| c^n prod max(c, |b_i|), evaluated in closed form."""
-    if p.is_zero:
-        raise ZeroPolynomialError("scaled measure undefined for the zero polynomial")
-    if c <= 0:
-        raise ValueError("scale must be positive")
-    return saturating_exp(log_scaled_mahler_from_roots(roots(p), math.log(c)))
-
-
-def monomial_profile(p: LaurentPoly, sigma1: float) -> list:
-    """The function t -> M(p(t^sigma1 z)) as an exact list of monomial pieces.
-
-    Breakpoints sit at |b_i|^(1/sigma1); exponents are nondecreasing across
-    pieces (the profile is multiplicatively convex). sigma1 = 0 collapses to
-    the single constant piece M(p).
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("profile undefined for the zero polynomial")
-    rd = roots(p)
-    if sigma1 == 0:
-        return [MonomialPiece(
-            0.0, math.inf,
-            saturating_exp(log_scaled_mahler_from_roots(rd, 0.0)), 0.0)]
-
-    moduli = sorted(abs(b) for b in rd.roots)
-    absd = abs(rd.leading)
-    pieces = []
-    for k in range(len(moduli) + 1):
-        s_lo = moduli[k - 1] if k > 0 else 0.0
-        s_hi = moduli[k] if k < len(moduli) else math.inf
-        if sigma1 > 0:
-            t_lo = s_lo ** (1.0 / sigma1) if s_lo > 0 else 0.0
-            t_hi = s_hi ** (1.0 / sigma1) if s_hi < math.inf else math.inf
-        else:
-            t_lo = s_hi ** (1.0 / sigma1) if s_hi < math.inf else 0.0
-            t_hi = s_lo ** (1.0 / sigma1) if s_lo > 0 else math.inf
-        # equal moduli, or moduli that the 1/sigma1 power rounds together,
-        # leave an empty piece that the sort below could misplace
-        if t_lo == t_hi:
-            continue
-        coeff = absd
-        for b in moduli[k:]:
-            coeff *= b
-        pieces.append(MonomialPiece(t_lo, t_hi, coeff, sigma1 * (rd.power + k)))
-    pieces.sort(key=lambda piece: piece.t_lo)
-    return pieces
-
-
-def profile_value(pieces: list, t: float) -> float:
-    if t <= 0:
-        raise ValueError("profiles are defined on positive reals")
-    for piece in pieces:
-        if t <= piece.t_hi:
-            return piece.value(t)
-    return pieces[-1].value(t)
 
 
 def _project_support(p: LaurentPoly):
@@ -299,9 +223,7 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
             tol, budget)
     except QuadratureBudgetError as exc:
         raise QuadratureBudgetError(
-            str(exc),
-            math.exp(exc.best_estimate + math.log(scale))
-            if math.isfinite(exc.best_estimate) else exc.best_estimate,
+            str(exc), saturating_exp(exc.best_estimate + math.log(scale)),
             exc.achieved_tol) from None
     return mean + math.log(scale), achieved
 

@@ -41,6 +41,14 @@ FIGURE_EIGHT_ENTROPY = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 _ZERO_SNAP = 1e-12
 
 
+def _saturating_pow(t: float, x: float) -> float:
+    """t^x for t >= 1, x >= 0, or inf where it exceeds the double range."""
+    try:
+        return t ** x
+    except OverflowError:
+        return math.inf
+
+
 class _Unspecified:
     """Value of a fibered torsion inside [e^{-h}, e^{h}]: not determined."""
 
@@ -146,8 +154,8 @@ class FiberedTorsion(TorsionFunction):
             raise ValueError("t must be positive")
         if t < math.exp(-self.entropy):
             return 1.0
-        if t > math.exp(self.entropy):
-            return t ** self.norm
+        if t > saturating_exp(self.entropy):
+            return _saturating_pow(t, self.norm)
         if t == 1.0 and self.volume is not None:
             return math.exp(self.volume / (6.0 * math.pi))
         return UNSPECIFIED
@@ -167,7 +175,7 @@ class GraphTorsion(TorsionFunction):
     def value(self, t: float, tol: float = 1e-8):
         if t <= 0:
             raise ValueError("t must be positive")
-        return max(1.0, t) ** self.norm
+        return _saturating_pow(max(1.0, t), self.norm)
 
     def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:
         return AsymptoteReport(self.norm, 0.0, 1.0, 1.0, "closed-form")
@@ -234,19 +242,6 @@ def torsion_from_presentation(spec: TorsionSpec) -> PresentationTorsion:
     numerator = det_function(spec.matrix, spec.cohom, index_divisor=k)
     return PresentationTorsion(numerator,
                                [(a / k, b / k) for a, b in spec.pairs])
-
-
-def fibered_torsion(entropy: float, norm: float, t: float):
-    """Fibered closed form at one point: 1, t^norm, or UNSPECIFIED."""
-    return FiberedTorsion(entropy, norm).value(t)
-
-
-def graph_torsion(norm: float, t: float) -> float:
-    return GraphTorsion(norm).value(t)
-
-
-def glue(pieces) -> ProductTorsion:
-    return ProductTorsion(pieces)
 
 
 def torsion_degree(tau: TorsionFunction, tol: float = 1e-8) -> AsymptoteReport:

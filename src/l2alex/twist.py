@@ -143,9 +143,6 @@ class CohomClass:
         return CohomClass(sigma, tuple(-c * x for x in self.r),
                           tuple(tuple(-e for e in row) for row in self.phi))
 
-    def negated(self) -> "CohomClass":
-        return self.scaled(-1.0)
-
     def variable_scales(self, t: float) -> tuple:
         """log s_j of the per-variable scales: the twist factor of z^v is
         prod_j s_j^{v_j}.
@@ -172,14 +169,7 @@ class CohomClass:
                        else sigma_j * math.log(t))
         return tuple(out)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_obj(self) -> dict:
-        obj = {"sigma": list(self.sigma)}
-        if self.has_decomposition:
-            obj["r"] = list(self.r)
-            obj["phi"] = [list(row) for row in self.phi]
-        return obj
+    # -- parsing -----------------------------------------------------------
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CohomClass":

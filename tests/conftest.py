@@ -31,6 +31,15 @@ def random_int_matrix(rng, size, nvars, nonsingular=True, **kw):
             return a
 
 
+def random_complex_terms(seed, size=5):
+    """size x size one-variable entries of three complex terms each, as
+    {exponent tuple: coefficient} maps."""
+    rng = random.Random(seed)
+    return [[{(rng.randint(-2, 2),): complex(rng.uniform(-1, 1),
+                                             rng.uniform(-1, 1))
+              for _ in range(3)} for _ in range(size)] for _ in range(size)]
+
+
 def random_rational_class(rng, nvars):
     return CohomClass([rng.choice(RATIONAL_SIGMAS) for _ in range(nvars)])
 

@@ -9,11 +9,11 @@ import pytest
 
 import l2alex
 
-from l2alex.cli import (InputDocument, main, parse_input, render_json,
-                        serialize_input)
+from l2alex import CohomClass, LaurentMatrix, LaurentPoly
+from l2alex.cli import main, parse_input, render_json
 from l2alex.errors import InputError
 
-from conftest import random_int_matrix, random_rational_class
+from conftest import random_complex_terms
 
 QUADRATIC_DOC = json.dumps({
     "variables": ["z"],
@@ -191,17 +191,21 @@ class TestParsing:
             '{"exp":[0],"re":1},{"exp":[0],"re":-1},{"exp":[1],"re":2}'))
         assert doc.matrix.rows[1][1].terms == {(1,): 2}
 
-    def test_round_trip_random(self, rng):
-        for _ in range(5):
-            matrix = random_int_matrix(rng, 2, 2, nonsingular=False)
-            doc = InputDocument(["u", "v"], matrix,
-                                random_rational_class(rng, 2),
-                                ((1.0, 0.0),), 2)
-            again = parse_input(serialize_input(doc))
-            assert again.matrix == doc.matrix
-            assert again.cohom == doc.cohom
-            assert again.pairs == doc.pairs
-            assert again.index_divisor == doc.index_divisor
+    def test_full_precision_document(self):
+        # every float of the document needs 17 digits, and each is kept
+        sqrt2 = repr(math.sqrt(2))
+        doc = parse_input(
+            '{"variables": ["u", "v"],'
+            ' "matrix": [[[{"exp": [1, 0], "re": 0.1, "im": %s}]]],'
+            ' "class": {"sigma": [0.1, %s]},'
+            ' "pairs": [[0.1, %s]], "index_divisor": 2}'
+            % (sqrt2, sqrt2, sqrt2))
+        assert doc.variables == ["u", "v"]
+        assert doc.matrix == LaurentMatrix(
+            [[LaurentPoly(2, {(1, 0): complex(0.1, math.sqrt(2))})]])
+        assert doc.cohom == CohomClass([0.1, math.sqrt(2)])
+        assert doc.pairs == ((0.1, math.sqrt(2)),)
+        assert doc.index_divisor == 2
 
 
 class TestRenderJson:
@@ -383,6 +387,19 @@ class TestExitCodes:
         assert re.search(r"best estimate \S+, achieved \S+\)$", err.strip())
         assert "np.float64" not in err
 
+    def test_budget_error_beyond_double_range(self, tmp_path, capsys):
+        # 1.7e308 (1 + x^9 + y^8): the best estimate saturates to inf
+        path = tmp_path / "huge.json"
+        path.write_text(scaled_doc({(0, 0): 1, (9, 0): 1, (0, 8): 1},
+                                   1.7e308))
+        code, out, err = run_cli(
+            ["mahler", "--input", str(path), "--tol", "1e-12",
+             "--max-evals", "1000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[quadrature-budget]:")
+        assert "best estimate inf" in err
+
     def test_overflowing_grid_is_input_error(self, quadratic_file, capsys):
         code, out, err = run_cli(
             ["eval", "--input", quadratic_file,
@@ -482,6 +499,30 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error[overflow]:") and "slope_max" in err
+
+    def test_convexity_underflow_refused(self, tmp_path, capsys):
+        # V(0.01) = 1e-800 for z^400 at sigma = [1]
+        path = tmp_path / "z400.json"
+        path.write_text(scaled_doc({(400,): 1}, 1))
+        code, out, err = run_cli(["convexity", "--input", str(path),
+                                  "--grid", "0.01:1:3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[underflow]:") and "t=0.01" in err
+
+    def test_complex_determinant_ill_conditioned(self, tmp_path, capsys):
+        # complex 5x5: the ring elimination in complex doubles overflows
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({
+            "variables": ["z"],
+            "matrix": [[[{"exp": list(e), "re": c.real, "im": c.imag}
+                         for e, c in cell.items()] for cell in row]
+                       for row in random_complex_terms(0)],
+            "class": {"sigma": [1]}}))
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error[ill-conditioned]:")
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from l2alex import (ChiefPartTieError, CohomClass, DetFunction, LaurentMatrix,
-                    LaurentPoly, ZeroPolynomialError, asymptote, chief_part,
+                    LaurentPoly, ZeroPolynomialError, chief_part,
                     convexity_check, det_function, exponent_bound,
                     geometric_grid, lipschitz_degree_check, mahler_mv)
 
@@ -158,7 +158,7 @@ class TestChiefPart:
         # <r, w> of the groups (2,) and (1,) differ by 1e-13, at a scale of
         # 2e-13: far apart, though closer than any absolute tolerance
         c = CohomClass([1e-13, 2e-13], r=[1e-13], phi=[[1, 2]])
-        rep = asymptote(DetFunction(ONE_X_Y, c))
+        rep = DetFunction(ONE_X_Y, c).asymptote()
         assert rep.method == "exact-chief-part"
         assert (rep.d_plus, rep.d_minus) == (2e-13, 0.0)
         assert rep.C_plus == rep.C_minus == 1.0
@@ -170,7 +170,7 @@ class TestChiefPart:
 
 class TestAsymptote:
     def test_quadratic(self):
-        rep = asymptote(quadratic_fn())
+        rep = quadratic_fn().asymptote()
         assert rep.method == "exact-chief-part"
         assert (rep.d_plus, rep.d_minus) == (2.0, 0.0)
         assert rep.C_plus == pytest.approx(1.0, abs=1e-12)
@@ -179,27 +179,27 @@ class TestAsymptote:
 
     def test_constant_function(self):
         v = DetFunction(P(1, {(0,): 5}), CohomClass([1.0]))
-        rep = asymptote(v)
+        rep = v.asymptote()
         assert rep.d_plus == rep.d_minus == 0.0
         assert rep.C_plus == rep.C_minus == pytest.approx(5.0)
 
     def test_one_minus_z(self):
         a = LaurentMatrix([[P(1, {(0,): 1, (1,): -1})]])
-        rep = asymptote(det_function(a, CohomClass([1.0])))
+        rep = det_function(a, CohomClass([1.0])).asymptote()
         assert (rep.d_plus, rep.d_minus, rep.deg_b) == (1.0, 0.0, 1.0)
         assert rep.C_plus == rep.C_minus == pytest.approx(1.0)
 
     def test_face_on_irrational_class(self):
         v = DetFunction(P(1, {(2,): 1, (1,): -3, (0,): 1}),
                         CohomClass([math.sqrt(2)]))
-        rep = asymptote(v, 1e-9)
+        rep = v.asymptote(1e-9)
         assert rep.method == "face"
         assert rep.d_plus == 2 * math.sqrt(2)
         assert rep.d_minus == 0.0
         assert rep.C_plus == 1.0
 
     def test_near_tie_is_exact(self):
-        rep = asymptote(DetFunction(ONE_X_Y, CohomClass([1.0, 1.0 + 1e-9])))
+        rep = DetFunction(ONE_X_Y, CohomClass([1.0, 1.0 + 1e-9])).asymptote()
         assert rep.method == "face"
         assert rep.d_plus == 1.0 + 1e-9 and rep.d_minus == 0.0
         assert rep.C_plus == pytest.approx(1.0, abs=1e-12)
@@ -208,14 +208,14 @@ class TestAsymptote:
     def test_small_class_is_not_snapped_to_zero(self):
         c = CohomClass([1e-13, 2e-13])
         assert not c.has_decomposition
-        rep = asymptote(DetFunction(ONE_X_Y, c))
+        rep = DetFunction(ONE_X_Y, c).asymptote()
         assert rep.method == "face"
         assert (rep.d_plus, rep.d_minus) == (2e-13, 0.0)
         assert rep.C_plus == rep.C_minus == 1.0
 
     def test_shared_face_is_exact(self):
         # x and y share the weight sqrt 2: the face is x + y, M(x + y) = 1
-        rep = asymptote(DetFunction(ONE_X_Y, CohomClass([SQRT2, SQRT2])))
+        rep = DetFunction(ONE_X_Y, CohomClass([SQRT2, SQRT2])).asymptote()
         assert rep.method == "face"
         assert rep.d_plus == SQRT2
         assert rep.C_plus == pytest.approx(1.0, abs=1e-12)
@@ -229,7 +229,7 @@ class TestAsymptote:
             for c in (random_rational_class(rng, a.nvars),
                       random_real_class(rng, a.nvars)):
                 v = det_function(a, c)
-                rep = asymptote(v)
+                rep = v.asymptote()
                 paths.add(rep.method)
                 weights = [c.weight(e) for e in v.det_poly.terms]
                 scale = max(abs(x) for x in weights)
@@ -244,11 +244,11 @@ class TestAsymptote:
         ([1.7e308, SQRT2], {(0, 0): 1, (2, 0): 1, (0, 1): 1})],
         ids=["decomposed", "undecomposed"])
     def test_exponent_beyond_double_range_saturates(self, sigma, terms):
-        rep = asymptote(DetFunction(P(len(sigma), terms), CohomClass(sigma)))
+        rep = DetFunction(P(len(sigma), terms), CohomClass(sigma)).asymptote()
         assert rep.d_plus == math.inf and rep.d_minus == 0.0
         assert rep.C_plus == rep.C_minus == 1.0
-        rep = asymptote(DetFunction(P(len(sigma), terms),
-                                    CohomClass([-s for s in sigma])))
+        rep = DetFunction(P(len(sigma), terms),
+                          CohomClass([-s for s in sigma])).asymptote()
         assert rep.d_minus == -math.inf
 
     def test_matches_far_evaluations(self, rng):
@@ -257,7 +257,7 @@ class TestAsymptote:
             a = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 2))
             c = random_rational_class(rng, a.nvars)
             v = det_function(a, c)
-            rep = asymptote(v, tol)
+            rep = v.asymptote(tol)
             assert abs(v.eval(1e6, tol) /
                        (rep.C_plus * (1e6) ** rep.d_plus) - 1) < 1e-3
             assert abs(v.eval(1e-6, tol) /
@@ -267,7 +267,7 @@ class TestAsymptote:
         for _ in range(8):
             a = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 2))
             c = random_rational_class(rng, a.nvars)
-            rep = asymptote(det_function(a, c))
+            rep = det_function(a, c).asymptote()
             assert rep.C_plus >= 1.0 - 1e-9
             assert rep.C_minus >= 1.0 - 1e-9
 
@@ -275,13 +275,13 @@ class TestAsymptote:
         for _ in range(8):
             a = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 2))
             c = random_rational_class(rng, a.nvars)
-            assert asymptote(det_function(a, c)).deg_b <= \
+            assert det_function(a, c).asymptote().deg_b <= \
                 exponent_bound(a, c) + 1e-9
 
     def test_zero_function_rejected(self):
         v = DetFunction(LaurentPoly.zero(1), CohomClass([1.0]))
         with pytest.raises(ZeroPolynomialError):
-            asymptote(v)
+            v.asymptote()
 
 
 class TestConvexityCheck:

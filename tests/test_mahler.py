@@ -7,10 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from l2alex import (CohomClass, IllConditionedError, LaurentPoly,
-                    QuadratureBudgetError, ZeroPolynomialError, mahler_1v,
-                    mahler_mv, mahler_mv_report, monomial_profile,
-                    profile_value, roots, scaled_mahler_1v, twist)
+from l2alex import (CohomClass, DetFunction, IllConditionedError,
+                    LaurentPoly, QuadratureBudgetError, ZeroPolynomialError,
+                    mahler_mv, mahler_mv_report, roots, twist)
 from l2alex import kernels as kernel_mod
 from l2alex import mahler as mahler_mod
 from l2alex.mahler import log_mahler_mv
@@ -122,7 +121,7 @@ class TestRoots:
             coeffs[0] = coeffs[0] or 1
             coeffs[-1] = coeffs[-1] or -1
             p = P(1, {(k,): c for k, c in enumerate(coeffs) if c})
-            got = math.log(mahler_1v(p))
+            got = math.log(mahler_mv(p))
             with mpmath.workdps(30):
                 rts = mpmath.polyroots(coeffs[::-1], maxsteps=200,
                                        extraprec=100)
@@ -134,42 +133,57 @@ class TestRoots:
 
 class TestMahler1v:
     def test_quadratic(self):
-        assert mahler_1v(quadratic()) == pytest.approx(GOLDEN_PLUS, abs=1e-10)
+        assert mahler_mv(quadratic()) == pytest.approx(GOLDEN_PLUS, abs=1e-10)
 
     def test_monomial(self):
-        assert mahler_1v(P(1, {(100,): 1})) == 1.0
+        assert mahler_mv(P(1, {(100,): 1})) == 1.0
 
     def test_lehmer(self):
-        assert mahler_1v(LEHMER) == pytest.approx(1.176280818, abs=1e-8)
+        assert mahler_mv(LEHMER) == pytest.approx(1.176280818, abs=1e-8)
 
     def test_lehmer_against_quadrature_oracle(self):
-        assert mahler_1v(LEHMER) == \
+        assert mahler_mv(LEHMER) == \
             pytest.approx(quad_mahler_1v(LEHMER, 1e-9), rel=2e-8)
 
     def test_zero(self):
-        assert mahler_1v(LaurentPoly.zero(1)) == 0.0
+        assert mahler_mv(LaurentPoly.zero(1)) == 0.0
 
     def test_quadrature_agreement_random(self, rng):
         for _ in range(12):
             p = random_int_poly(rng, 1, max_terms=5, max_exp=3, nonzero=True)
-            m = mahler_1v(p)
+            m = mahler_mv(p)
             assert abs(m - quad_mahler_1v(p, 1e-8)) / m < 1e-6
+
+
+def profile(p, sigma1):
+    """t -> M(p(t^sigma1 z)), a piecewise monomial function of t."""
+    return DetFunction(p, CohomClass([sigma1])).eval
+
+
+def scaled(p, c):
+    """M(p(c z))."""
+    return profile(p, 1.0)(c)
+
+
+def log_log_slopes(v, ts):
+    logs = [math.log(v(t)) for t in ts]
+    return [(b - a) / math.log(u / t)
+            for a, b, t, u in zip(logs, logs[1:], ts, ts[1:])]
 
 
 class TestScaledMahler:
     def test_linear(self):
         p = P(1, {(1,): 1, (0,): -2})
-        assert scaled_mahler_1v(p, 1.0) == pytest.approx(2.0, rel=1e-12)
-        assert scaled_mahler_1v(p, 3.0) == pytest.approx(3.0, rel=1e-12)
+        assert scaled(p, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert scaled(p, 3.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_unit_scale(self):
-        assert scaled_mahler_1v(quadratic(), 1.0) == \
-            pytest.approx(mahler_1v(quadratic()), rel=1e-12)
+        assert scaled(quadratic(), 1.0) == \
+            pytest.approx(mahler_mv(quadratic()), rel=1e-12)
 
     def test_small_scale_limit_is_root_product(self):
         # product of the roots = constant coefficient
-        assert scaled_mahler_1v(quadratic(), 1e-9) == \
-            pytest.approx(1.0, rel=1e-9)
+        assert scaled(quadratic(), 1e-9) == pytest.approx(1.0, rel=1e-9)
 
     def test_equals_substituted_polynomial(self, rng):
         for _ in range(10):
@@ -177,75 +191,72 @@ class TestScaledMahler:
             c = rng.uniform(0.2, 4.0)
             subst = LaurentPoly(1, {e: v * c ** e[0]
                                     for e, v in p.terms.items()})
-            assert scaled_mahler_1v(p, c) == \
-                pytest.approx(mahler_1v(subst), rel=1e-10)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            scaled_mahler_1v(LaurentPoly.zero(1), 1.0)
+            assert scaled(p, c) == pytest.approx(mahler_mv(subst), rel=1e-10)
 
     def test_beyond_double_range_saturates(self):
         huge = P(1, {(0,): 1.5e308, (1,): 1.5e308, (2,): -1.5e308})
-        assert mahler_1v(huge) == math.inf
-        assert scaled_mahler_1v(quadratic(), 1e300) == math.inf
+        assert mahler_mv(huge) == math.inf
+        assert scaled(quadratic(), 1e300) == math.inf
         # the monomial factor z^2 raises c^2 beyond the double range
         shifted = P(1, {(4,): 1, (3,): -3, (2,): 1})
-        assert scaled_mahler_1v(shifted, 1e300) == math.inf
+        assert scaled(shifted, 1e300) == math.inf
 
 
 class TestMonomialProfile:
     def test_quadratic_pieces(self):
-        pieces = monomial_profile(quadratic(), 1.0)
-        assert len(pieces) == 3
-        assert pieces[0].exponent == 0 and pieces[0].coeff == \
-            pytest.approx(1.0, rel=1e-12)
-        assert pieces[1].exponent == 1 and pieces[1].coeff == \
-            pytest.approx(GOLDEN_PLUS, rel=1e-12)
-        assert pieces[2].exponent == 2 and pieces[2].coeff == \
-            pytest.approx(1.0, rel=1e-12)
-        assert pieces[1].t_lo == pytest.approx(GOLDEN_MINUS, rel=1e-12)
-        assert pieces[1].t_hi == pytest.approx(GOLDEN_PLUS, rel=1e-12)
+        # M(t^2 z^2 - 3tz + 1) is 1, then GOLDEN_PLUS * t, then t^2: log-log
+        # slopes 0, 1 and 2, breaking at the root moduli (3 -+ sqrt 5) / 2
+        v = profile(quadratic(), 1.0)
+        lo, hi = GOLDEN_MINUS, GOLDEN_PLUS
+        for a, b, slope in ((lo / 100, lo, 0), (lo, hi, 1), (hi, 100 * hi, 2)):
+            ts = [a * (b / a) ** (k / 4) for k in range(5)]
+            assert log_log_slopes(v, ts) == \
+                pytest.approx([slope] * 4, abs=1e-9)
+        assert v(0.1) == pytest.approx(1.0, rel=1e-12)
+        assert v(1.0) == pytest.approx(GOLDEN_PLUS, rel=1e-12)
+        assert v(10.0) == pytest.approx(100.0, rel=1e-12)
 
     def test_single_variable_monomial(self):
         for s in (2.0, -1.5):
-            pieces = monomial_profile(P(1, {(1,): 1}), s)
-            assert len(pieces) == 1
-            assert (pieces[0].coeff, pieces[0].exponent) == (1.0, s)
+            v = profile(P(1, {(1,): 1}), s)
+            for t in (0.1, 3.0, 50.0):
+                assert v(t) == pytest.approx(t ** s, rel=1e-12)
 
     def test_constant(self):
-        pieces = monomial_profile(P(1, {(0,): 3}), 2.0)
-        assert len(pieces) == 1
-        assert (pieces[0].coeff, pieces[0].exponent) == (3.0, 0.0)
+        v = profile(P(1, {(0,): 3}), 2.0)
+        for t in (0.01, 1.0, 100.0):
+            assert v(t) == pytest.approx(3.0, rel=1e-12)
 
     def test_sigma_zero_collapses(self):
-        pieces = monomial_profile(quadratic(), 0.0)
-        assert len(pieces) == 1
-        assert pieces[0].coeff == pytest.approx(GOLDEN_PLUS, rel=1e-12)
+        v = profile(quadratic(), 0.0)
+        for t in (1e-3, 1.0, 1e3):
+            assert v(t) == pytest.approx(GOLDEN_PLUS, rel=1e-12)
 
     def test_exponents_nondecreasing(self, rng):
+        ts = [10.0 ** (k / 4) for k in range(-12, 13)]
+
+        def nondecreasing(slopes):
+            return all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
+
         for s in (1.0, 0.5, -2.0):
             for _ in range(5):
                 p = random_int_poly(rng, 1, max_terms=5, max_exp=3,
                                     nonzero=True)
-                exps = [pc.exponent for pc in monomial_profile(p, s)]
-                assert exps == sorted(exps)
-        # two root moduli differing in the last bit used to leave an empty
-        # piece that sorted after the piece starting at the same t
+                assert nondecreasing(log_log_slopes(profile(p, s), ts))
+        # two root moduli differing in the last bit
         p = P(1, {(-4,): 3, (-1,): 5, (3,): 1})
         for s in (-2.0, -1.0):
-            exps = [pc.exponent for pc in monomial_profile(p, s)]
-            assert exps == sorted(exps)
+            assert nondecreasing(log_log_slopes(profile(p, s), ts))
 
     def test_consistency_with_scaled_measure(self, rng):
         for _ in range(5):
             p = random_int_poly(rng, 1, max_terms=5, max_exp=3, nonzero=True)
             sigma1 = rng.choice([1.0, 2.0, -1.0, 0.5])
-            pieces = monomial_profile(p, sigma1)
+            v = profile(p, sigma1)
             for _ in range(50):
                 t = math.exp(rng.uniform(-5, 5))
-                expect = scaled_mahler_1v(p, t ** sigma1)
-                assert profile_value(pieces, t) == \
-                    pytest.approx(expect, rel=1e-12)
+                assert v(t) == pytest.approx(scaled(p, t ** sigma1),
+                                             rel=1e-12)
 
 
 class TestMahlerMV:
@@ -269,7 +280,10 @@ class TestMahlerMV:
         assert mahler_mv(LaurentPoly.zero(2), 1e-8) == 0.0
 
     def test_delegates_to_jensen_for_1v(self):
-        assert mahler_mv(quadratic(), 1e-8) == mahler_1v(quadratic())
+        rep = mahler_mv_report(quadratic(), 1e-8)
+        assert rep.measure == math.exp(
+            mahler_mod.log_scaled_mahler_from_roots(roots(quadratic()), 0.0))
+        assert rep.achieved_tol == 0.0
 
     def test_circle_root_is_integrable(self):
         # (z1 - 1)(z2 - 3): the slice vanishes at theta = 0 in the limit

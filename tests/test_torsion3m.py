@@ -6,8 +6,8 @@ import pytest
 from l2alex import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                     V3, CohomClass, ConstantTorsion, FiberedTorsion,
                     GraphTorsion, LaurentMatrix, LaurentPoly, TorsionSpec,
-                    ZeroPolynomialError, exponent_bound, fibered_torsion,
-                    geometric_grid, glue, graph_torsion, hexagon_norm_check,
+                    ProductTorsion, ZeroPolynomialError, exponent_bound,
+                    geometric_grid, hexagon_norm_check,
                     symmetry_check, torsion_degree, torsion_from_presentation,
                     triple_figure_eight, triple_figure_eight_torsion)
 
@@ -75,18 +75,18 @@ class TestClosedForms:
     def test_figure_eight_values(self):
         h = FIGURE_EIGHT_ENTROPY
         assert h == pytest.approx(0.9624236501192069, abs=1e-15)
-        assert fibered_torsion(h, 1.0, 0.3) == 1.0
-        assert fibered_torsion(h, 1.0, 3.0) == 3.0
-        assert fibered_torsion(h, 1.0, 1.0) is UNSPECIFIED
+        assert FiberedTorsion(h, 1.0).value(0.3) == 1.0
+        assert FiberedTorsion(h, 1.0).value(3.0) == 3.0
+        assert FiberedTorsion(h, 1.0).value(1.0) is UNSPECIFIED
 
     def test_fibered_zero_entropy(self):
-        assert fibered_torsion(0.0, 2.0, 10.0) == 100.0
-        assert fibered_torsion(0.0, 2.0, 0.5) == 1.0
+        assert FiberedTorsion(0.0, 2.0).value(10.0) == 100.0
+        assert FiberedTorsion(0.0, 2.0).value(0.5) == 1.0
 
     def test_fibered_gap_boundaries(self):
         h = 0.5
-        assert fibered_torsion(h, 1.0, math.exp(-h)) is UNSPECIFIED
-        assert fibered_torsion(h, 1.0, math.exp(h)) is UNSPECIFIED
+        assert FiberedTorsion(h, 1.0).value(math.exp(-h)) is UNSPECIFIED
+        assert FiberedTorsion(h, 1.0).value(math.exp(h)) is UNSPECIFIED
 
     def test_fibered_volume_pins_t1(self):
         f = FiberedTorsion(1.0, 1.0, volume=FIGURE_EIGHT_VOLUME)
@@ -94,11 +94,17 @@ class TestClosedForms:
         assert f.value(1.1) is UNSPECIFIED
 
     def test_graph_closed_form(self):
-        assert graph_torsion(0.0, 17.0) == 1.0
-        assert graph_torsion(3.0, 2.0) == 8.0
-        assert graph_torsion(3.0, 0.5) == 1.0
+        assert GraphTorsion(0.0).value(17.0) == 1.0
+        assert GraphTorsion(3.0).value(2.0) == 8.0
+        assert GraphTorsion(3.0).value(0.5) == 1.0
         for t in geometric_grid(0.01, 100.0, 10):
-            assert graph_torsion(3.0, t) == max(1.0, t) ** 3
+            assert GraphTorsion(3.0).value(t) == max(1.0, t) ** 3
+
+    def test_closed_forms_saturate(self):
+        assert FiberedTorsion(1.0, 2.0).value(1e200) == math.inf
+        assert GraphTorsion(2.0).value(1e200) == math.inf
+        # the gap [e^-1000, e^1000] covers every positive double
+        assert FiberedTorsion(1000.0, 1.0).value(1e300) is UNSPECIFIED
 
     def test_degree_reports(self):
         rep = FiberedTorsion(0.7, 1.0).degree_report()
@@ -112,7 +118,7 @@ class TestClosedForms:
 class TestGlue:
     def test_single_piece(self):
         f = GraphTorsion(2.0)
-        g = glue([f])
+        g = ProductTorsion([f])
         for t in (0.5, 2.0):
             assert g.value(t) == f.value(t)
 
@@ -122,7 +128,7 @@ class TestGlue:
         assert torsion_degree(tau).deg_b == pytest.approx(4.0)
 
     def test_unspecified_dominates(self):
-        tau = glue([FiberedTorsion(1.0, 1.0), GraphTorsion(1.0)])
+        tau = ProductTorsion([FiberedTorsion(1.0, 1.0), GraphTorsion(1.0)])
         assert tau.value(1.5) is UNSPECIFIED
         assert tau.value(math.exp(1.1)) == pytest.approx(
             math.exp(1.1) * math.exp(1.1))
