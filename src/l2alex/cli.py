@@ -9,11 +9,10 @@ Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie,
 degeneracy or ill-conditioning error. Errors print one line
 "error[kind]: message" to stderr. A --tol that is not a positive finite
 number is refused as error[bad-tol], and a --max-evals below 1 as
-error[bad-budget], before any work. A root factorization
-that fails its reconstruction check (an input too ill-conditioned for
-double precision, IllConditionedError) answers error[ill-conditioned],
-exit 3, as does a float or complex determinant above 4x4 whose ring
-elimination in complex doubles fails.
+error[bad-budget], before any work. An input too ill-conditioned for
+double precision (IllConditionedError: a root factorization that fails
+its reconstruction check, or a determinant coefficient beyond the double
+range) answers error[ill-conditioned], exit 3.
 A matrix entry with a non-integer exponent, a non-finite coefficient, or
 a coefficient too small beside the entry's largest one to be kept in
 double precision is refused at parse time as error[bad-matrix], naming

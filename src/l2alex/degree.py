@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (ChiefPartTieError, InputError, ZeroMatrixError,
-                     ZeroPolynomialError)
+from .errors import (ChiefPartTieError, InputError, QuadratureBudgetError,
+                     ZeroMatrixError, ZeroPolynomialError)
 from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
                      log_mahler_mv, roots, saturating_exp)
@@ -113,7 +113,15 @@ class DetFunction:
             logv = log_scaled_mahler_from_roots(self._roots1v(), log_s1)
         else:
             q, log_scale = twist(self.det_poly, self.cohom, t)
-            logm, _ = log_mahler_mv(q, tol, NodeBudget(DEFAULT_NODE_BUDGET))
+            try:
+                logm, _ = log_mahler_mv(q, tol,
+                                        NodeBudget(DEFAULT_NODE_BUDGET))
+            except QuadratureBudgetError as exc:
+                # an estimate of M(q), rescaled to one of V(t)
+                exc.best_estimate = saturating_exp(
+                    (math.log(exc.best_estimate) + log_scale)
+                    / self.index_divisor)
+                raise
             logv = logm + log_scale
         return logv / self.index_divisor
 

@@ -59,9 +59,9 @@ class DegenerateSliceError(L2AlexError):
 
 
 class IllConditionedError(L2AlexError, ArithmeticError):
-    """A root factorization failed its reconstruction check, or a ring
-    elimination in complex doubles failed: the input is too ill-conditioned
-    for double precision."""
+    """A root factorization failed its reconstruction check, or a
+    coefficient of a polynomial product (a determinant's) left the double
+    range: the input is too ill-conditioned for double precision."""
 
 
 class ChiefPartTieError(L2AlexError):

@@ -33,19 +33,15 @@ stored as the nearest doubles and lose certification. The packed integers
 hold prod_j w_j digits however few terms the entries have, so a matrix
 whose box prod_j w_j exceeds 64 times the product of its rows' term counts
 (a bound on the determinant's term count), such as one entry z^100000,
-keeps the sparse path below. Other matrices (complex or non-integer
-coefficients) take cofactor expansion up to 4x4 and Bareiss elimination
-over the ring beyond, in complex doubles, dividing by each previous pivot
-with ``divide_exact``; on integer matrices that path is exact only while
-its products stay below 2^53. An elimination whose rounding leaves a
-division inexact, or whose entries overflow, raises IllConditionedError.
+keeps the general path: Berkowitz's division-free algorithm in complex
+doubles (see _det_berkowitz), which every other matrix takes too. It is
+exact on integer matrices while its products stay below 2^53.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import Iterable, Mapping
 
 from .errors import IllConditionedError, VariableCountMismatch
@@ -60,9 +56,25 @@ _SPARSE_BOX_RATIO = 64
 def _is_exact_int(c: complex) -> bool:
     return (
         c.imag == 0.0
-        and c.real == math.floor(c.real)
         and abs(c.real) <= _INT_EXACT_LIMIT
+        and c.real == math.floor(c.real)
     )
+
+
+def _dot(nvars: int, xs, ys) -> "LaurentPoly":
+    """sum_i xs[i] * ys[i], pruned once at the end; IllConditionedError
+    if a coefficient leaves the double range."""
+    out: dict[tuple, complex] = {}
+    for x, y in zip(xs, ys):
+        for e1, c1 in x.terms.items():
+            for e2, c2 in y.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0j) + c1 * c2
+    if not all(map(cmath.isfinite, out.values())):
+        raise IllConditionedError(
+            "a coefficient of a polynomial product left the double range; "
+            "the input is too ill-conditioned for double precision")
+    return LaurentPoly(nvars, out)
 
 
 class LaurentPoly:
@@ -181,12 +193,7 @@ class LaurentPoly:
             return LaurentPoly(self.nvars,
                                {e: c * other for e, c in self.terms.items()})
         self._check_same_vars(other)
-        out: dict[tuple, complex] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0j) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        return _dot(self.nvars, [self], [other])
 
     __rmul__ = __mul__
 
@@ -282,18 +289,10 @@ class LaurentMatrix:
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.size != other.size or self.nvars != other.nvars:
             raise VariableCountMismatch("matrix shapes/variables incompatible")
-        n = self.size
-        zero = LaurentPoly.zero(self.nvars)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(out, nvars=self.nvars)
+        return LaurentMatrix(
+            [[_dot(self.nvars, row, col)
+              for col in zip(*other.rows)] for row in self.rows],
+            nvars=self.nvars)
 
     def adjoint(self) -> "LaurentMatrix":
         """Transpose with entrywise involution: (A*)_{ij} = (A_{ji})*."""
@@ -312,23 +311,18 @@ class LaurentMatrix:
     def determinant(self) -> LaurentPoly:
         """Symbolic determinant over the Laurent polynomial ring.
 
-        Integer-certified matrices take one exact integer determinant by
-        Kronecker substitution: each row is shifted by its minimum exponent
-        vector, the variables are packed into one by mixed-radix strides
-        that keep the determinant's exponents apart, and the matrix is
-        evaluated at x = 2^b with 2^(b-1) > H = prod_i sum_k ||A_ik||_1,
-        which bounds every coefficient of the determinant. Fraction-free
-        (Bareiss) elimination on Python ints gives the determinant at 2^b,
-        and its balanced base-2^b digits are the coefficients. They are
-        exact; any beyond 2^53 come back uncertified, as floats. Integer
-        matrices whose exponent box is more than 64 times the product of
-        the rows' term counts are not packed.
+        Two paths (the module docstring gives the details). An
+        integer-certified matrix is packed into one matrix of Python ints
+        by Kronecker substitution, whose fraction-free (Bareiss) elimination
+        gives the exact coefficients; any beyond 2^53 come back uncertified,
+        as floats. Integer matrices whose exponent box is more than 64 times
+        the product of the rows' term counts are not packed.
 
-        Those and all other matrices use cofactor expansion up to 4x4 and
-        Bareiss elimination over the ring beyond that, dividing by the
-        previous pivot with ``divide_exact`` in complex doubles
-        (IllConditionedError if that fails). A 0x0 matrix has determinant
-        1; a 1x1 matrix, its entry.
+        Those and all other matrices take Berkowitz's division-free
+        algorithm (S. J. Berkowitz, Inf. Process. Lett. 18, 1984) in
+        complex doubles: O(n^4) ring products, no division, no pivoting
+        (IllConditionedError if a coefficient leaves the double range). A
+        0x0 matrix has determinant 1; a 1x1 matrix, its entry.
         """
         if self.size == 0:
             return LaurentPoly.one(self.nvars)
@@ -338,9 +332,7 @@ class LaurentMatrix:
             det = _det_kronecker(self.rows, self.nvars)
             if det is not None:
                 return det
-        if self.size <= 4:
-            return _det_cofactor(self.rows, self.nvars)
-        return _det_bareiss(self.rows, self.nvars)
+        return _det_berkowitz(self.rows, self.nvars)
 
     @classmethod
     def from_obj(cls, nvars: int, obj: list) -> "LaurentMatrix":
@@ -355,39 +347,19 @@ class LaurentMatrix:
         return cls(rows, nvars=nvars) if rows else cls([], nvars=nvars)
 
 
-def _det_cofactor(rows, nvars: int) -> LaurentPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = LaurentPoly.zero(nvars)
-    for j in range(n):
-        if rows[0][j].is_zero:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det_cofactor(minor, nvars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _lex_leading(p: LaurentPoly) -> tuple:
-    return max(p.terms)
-
-
 def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Quotient a/b assuming the division is exact in C[z^{±1}].
 
     Leading-term elimination under the lexicographic order; since lex is a
     group order on Z^l, leading terms are multiplicative and the quotient's
-    terms are produced one by one. Intended for Bareiss pivot divisions.
+    terms are produced one by one.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return LaurentPoly.zero(a.nvars)
     a._check_same_vars(b)
-    lead_b = _lex_leading(b)
+    lead_b = max(b.terms)
     cb = b.terms[lead_b]
     certified = a.integer_certified and b.integer_certified
     rem = dict(a.terms)
@@ -411,15 +383,14 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     raise ArithmeticError("division did not terminate: not an exact quotient")
 
 
-def _bareiss(m, div, one):
-    """Fraction-free (Bareiss 1968) elimination of the rows ``m``, in place.
+def _bareiss(m):
+    """Fraction-free (Bareiss 1968) determinant of the Python ints ``m``.
 
-    Works over any ring whose elements support +, -, * and truth testing:
-    each ``div(minor, previous pivot)`` is an exact division, and a zero
-    pivot swaps in a later row with a nonzero entry in its column.
+    Works in place; each division by the previous pivot is exact, and a
+    zero pivot swaps in a later row with a nonzero entry in its column.
     """
     n = len(m)
-    sign, prev = 1, one
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -428,26 +399,40 @@ def _bareiss(m, div, one):
                     sign = -sign
                     break
             else:
-                return m[k][k]
+                return 0
         pivot_row = m[k]
         pivot = pivot_row[k]
         for row in m[k + 1:]:
             lead = row[k]
             for j in range(k + 1, n):
-                row[j] = div(pivot * row[j] - lead * pivot_row[j], prev)
+                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return sign * m[n - 1][n - 1]
 
 
-def _det_bareiss(rows, nvars: int) -> LaurentPoly:
-    try:
-        return _bareiss([list(r) for r in rows], divide_exact,
-                        LaurentPoly.one(nvars))
-    except ArithmeticError as exc:
-        raise IllConditionedError(
-            f"ring elimination in complex doubles failed ({exc}); the "
-            "matrix is too ill-conditioned for double precision") from None
+def _det_berkowitz(rows, nvars: int) -> LaurentPoly:
+    """Division-free determinant (Berkowitz 1984) in complex doubles.
+
+    The characteristic polynomial x^k + c_1 x^(k-1) + ... + c_k of each
+    leading principal submatrix A_k follows from that of A_(k-1) by one
+    Toeplitz product, whose first column is 1, -a_kk, -R S, -R A_(k-1) S,
+    ..., -R A_(k-1)^(k-2) S for the row R and column S that border A_(k-1);
+    det A = (-1)^n c_n. IllConditionedError if a coefficient leaves the
+    double range.
+    """
+    one = LaurentPoly.one(nvars)
+    charpoly = [one, -rows[0][0]]
+    for k in range(1, len(rows)):
+        block = [r[:k] for r in rows[:k]]
+        cols = [[r[k] for r in rows[:k]]]
+        for _ in range(k - 1):
+            cols.append([_dot(nvars, r, cols[-1]) for r in block])
+        neg_row = [-p for p in rows[k][:k]]
+        toeplitz = [one, -rows[k][k]] + [_dot(nvars, neg_row, c)
+                                         for c in cols]
+        charpoly = [_dot(nvars, toeplitz[i::-1], charpoly)
+                    for i in range(k + 2)]
+    return (-1) ** len(rows) * charpoly[-1]
 
 
 def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:
@@ -456,7 +441,7 @@ def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:
     None when the packed box of exponents is more than _SPARSE_BOX_RATIO
     times the product of the rows' term counts, which bounds the number of
     terms of the determinant: the dense packing would then cost far more
-    than the sparse expansion.
+    than Berkowitz's sparse ring products.
     """
     lows, widths, height, nterms = [], [1] * nvars, 1, 1
     for row in rows:
@@ -485,8 +470,7 @@ def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:
                    for e, c in p.terms.items())
 
     value = _bareiss([[pack(p, low) for p in row]
-                      for row, low in zip(rows, lows)],
-                     operator.floordiv, 1)
+                      for row, low in zip(rows, lows)])
     # every balanced digit d of value has |d| <= height < 2^(b-1) = half,
     # so adding half to each digit leaves box digits in [0, 2^b), nbytes
     # bytes each, and a digit equal to half is a zero coefficient

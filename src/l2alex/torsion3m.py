@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 from .degree import AsymptoteReport, DetFunction, det_function
-from .errors import ZeroPolynomialError
+from .errors import QuadratureBudgetError, ZeroPolynomialError
 from .laurent import LaurentMatrix
 from .mahler import saturating_exp
 from .twist import CohomClass
@@ -119,7 +119,16 @@ class PresentationTorsion(TorsionFunction):
             raise ValueError("t must be positive")
         if self.zero_function:
             return 0.0
-        logv = self.numerator.log_eval(t, tol)
+        try:
+            logv = self.numerator.log_eval(t, tol)
+        except QuadratureBudgetError as exc:
+            v = exc.best_estimate   # of V(t), which may underflow to 0
+            exc.best_estimate = self._divide_pairs(
+                math.log(v) if v else -math.inf, t)
+            raise
+        return self._divide_pairs(logv, t)
+
+    def _divide_pairs(self, logv: float, t: float) -> float:
         lt = math.log(t)
         for a, b in self.pairs:
             logv -= max(a * lt, b * lt)

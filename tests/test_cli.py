@@ -510,16 +510,35 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error[underflow]:") and "t=0.01" in err
 
-    def test_complex_determinant_ill_conditioned(self, tmp_path, capsys):
-        # complex 5x5: the ring elimination in complex doubles overflows
+    def test_complex_determinant_degree(self, tmp_path, capsys):
+        # a complex 5x5 determinant: deg_b at sigma = [1] is its spread
+        terms = random_complex_terms(0)
         path = tmp_path / "complex.json"
         path.write_text(json.dumps({
             "variables": ["z"],
             "matrix": [[[{"exp": list(e), "re": c.real, "im": c.imag}
                          for e, c in cell.items()] for cell in row]
-                       for row in random_complex_terms(0)],
+                       for row in terms],
             "class": {"sigma": [1]}}))
-        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        code, out, _ = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 0
+        det = LaurentMatrix([[LaurentPoly(1, t) for t in row]
+                             for row in terms]).determinant()
+        assert json.loads(out)["deg_b"] == det.spread(0)
+
+    @pytest.mark.parametrize("command", [["degree"], ["mahler"],
+                                         ["eval", "--t-grid", "1:2:2"]])
+    def test_overflowing_determinant_ill_conditioned(self, tmp_path, capsys,
+                                                     command):
+        # [[c z, 1e200], [1e200, c z]] with c = 1e200 (1 + i): the
+        # determinant's coefficients pass the double range
+        big = {"exp": [0], "re": 1e200}
+        diag = {"exp": [1], "re": 1e200, "im": 1e200}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "variables": ["z"], "matrix": [[[diag], [big]], [[big], [diag]]],
+            "class": {"sigma": [1]}}))
+        code, out, err = run_cli(command + ["--input", str(path)], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("error[ill-conditioned]:")

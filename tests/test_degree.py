@@ -3,9 +3,11 @@ import math
 import pytest
 
 from l2alex import (ChiefPartTieError, CohomClass, DetFunction, LaurentMatrix,
-                    LaurentPoly, ZeroPolynomialError, chief_part,
-                    convexity_check, det_function, exponent_bound,
-                    geometric_grid, lipschitz_degree_check, mahler_mv)
+                    LaurentPoly, QuadratureBudgetError, ZeroPolynomialError,
+                    chief_part, convexity_check, det_function,
+                    exponent_bound, geometric_grid, lipschitz_degree_check,
+                    mahler_mv)
+from l2alex import degree
 
 from conftest import random_int_matrix, random_rational_class
 
@@ -114,6 +116,18 @@ class TestDetFunction:
         assert math.isfinite(logv)
         assert logv == pytest.approx(log_c + d * math.log(t), abs=1e-12,
                                      rel=1e-12)
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_budget_error_estimates_value(self, monkeypatch, index):
+        # (1+x)(1+x+y^3) is twisted to max |coefficient| 1 (a factor 2)
+        p = P(2, {(0, 0): 1, (1, 0): 1}) * P(2, {(0, 0): 1, (1, 0): 1,
+                                                 (0, 3): 1})
+        v = DetFunction(p, CohomClass([1, 1]), index)
+        expect = v.eval(1.0, 1e-10)
+        monkeypatch.setattr(degree, "DEFAULT_NODE_BUDGET", 600)
+        with pytest.raises(QuadratureBudgetError) as info:
+            v.log_eval(1.0, 1e-13)
+        assert info.value.best_estimate == pytest.approx(expect, rel=1e-3)
 
 
 class TestChiefPart:

@@ -4,12 +4,12 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2alex import (IllConditionedError, LaurentMatrix, LaurentPoly,
-                    VariableCountMismatch)
+from l2alex import LaurentMatrix, LaurentPoly, VariableCountMismatch
 from l2alex import laurent
 from l2alex.laurent import divide_exact
 
@@ -177,7 +177,7 @@ class TestDeterminant:
     @pytest.mark.parametrize("scale", [1, 0.5])
     def test_zero_pivots_swap_rows(self, size, scale):
         # anti-diagonal c z, c z^2, ...: pivots are zero until rows swap;
-        # c = 0.5 takes the elimination in complex doubles
+        # c = 0.5 takes Berkowitz, which has no pivots
         zero = LaurentPoly.zero(1)
         a = LaurentMatrix([[P(1, {(i + 1,): scale}) if i + j == size - 1
                             else zero for j in range(size)]
@@ -187,7 +187,7 @@ class TestDeterminant:
             P(1, {(size * (size + 1) // 2,): sign * scale ** size})
 
     def test_large_intermediates_stay_exact(self):
-        # 99 I + z J: the ring elimination's intermediates pass 2^53
+        # 99 I + z J: the packed elimination's intermediates pass 2^53
         z = P(1, {(1,): 1})
         diag = P(1, {(0,): 99})
         a = LaurentMatrix([[diag + z if i == j else z for j in range(6)]
@@ -204,7 +204,7 @@ class TestDeterminant:
         assert det.terms == {(0,): complex((2 ** 27 + 1) ** 2)}
         assert not det.integer_certified
 
-    def test_integer_matrix_divides_nothing(self, rng, monkeypatch):
+    def test_no_determinant_divides(self, rng, monkeypatch):
         calls = []
 
         def counted(a, b):
@@ -214,18 +214,32 @@ class TestDeterminant:
         monkeypatch.setattr(laurent, "divide_exact", counted)
         a = random_int_matrix(rng, 5, 1, nonsingular=True)
         det = a.determinant()
-        assert calls == []
-        # the same matrix halved is not integer: ring elimination divides
+        # the same matrix halved is not integer: it takes Berkowitz
         half = LaurentMatrix([[p * 0.5 for p in r] for r in a.rows])
         got = half.determinant()
-        assert calls
+        assert calls == []
         assert set(got.terms) == set(det.terms)
         for e, c in det.terms.items():
             assert got.terms[e] == pytest.approx(c / 32, rel=1e-12)
 
+    @pytest.mark.parametrize("nvars", [1, 2])
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("scale", [1, 0.5])
+    def test_product_rule(self, rng, nvars, size, scale):
+        # det(AB) = det(A) det(B); halved entries stay dyadic, so the
+        # Berkowitz path is exact here as the integer packing is
+        for _ in range(3):
+            a, b = (LaurentMatrix([[p * scale for p in r] for r in
+                                   random_int_matrix(rng, size, nvars,
+                                                     nonsingular=False,
+                                                     max_terms=3).rows])
+                    for _ in range(2))
+            assert a.integer_certified == (scale == 1)
+            assert (a * b).determinant() == a.determinant() * b.determinant()
+
     def test_exponent_spread_does_not_inflate_cost(self):
         # a dense packing would hold prod_j w_j ~ 1e9 to 1e11 digits here;
-        # the sparse expansion answers at once
+        # Berkowitz answers at once
         x, y = P(3, {(1000, 0, 0): 1}), P(3, {(0, 1000, 0): 1})
         z = P(3, {(0, 0, 1000): 1})
         w = P(3, {(0, 0, 100000): 1})
@@ -268,12 +282,21 @@ class TestDeterminant:
         assert a.determinant().is_zero
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_complex_elimination_failure_is_ill_conditioned(self, seed):
-        # rounding leaves a pivot division inexact, or the entries overflow
-        a = LaurentMatrix([[P(1, terms) for terms in row]
-                           for row in random_complex_terms(seed)])
-        with pytest.raises(IllConditionedError):
-            a.determinant()
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_complex_matches_numpy(self, seed, size):
+        # det(A)(z) against numpy.linalg.det of A(z) at torus points, within
+        # 1e-12 of the product of the rows' coefficient 1-norms
+        terms = random_complex_terms(seed, size)
+        det = LaurentMatrix([[P(1, t) for t in row]
+                             for row in terms]).determinant()
+        bound = 1e-12 * math.prod(sum(abs(c) for t in row for c in t.values())
+                                  for row in terms)
+        for theta in np.random.default_rng(seed).uniform(0, 2 * np.pi, 5):
+            z = complex(math.cos(theta), math.sin(theta))
+            a = [[sum(c * z ** e for (e,), c in t.items()) for t in row]
+                 for row in terms]
+            got = sum(c * z ** e for (e,), c in det.terms.items())
+            assert abs(got - np.linalg.det(np.array(a))) < bound
 
 
 class TestExactDivision:

@@ -6,10 +6,12 @@ import pytest
 from l2alex import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                     V3, CohomClass, ConstantTorsion, FiberedTorsion,
                     GraphTorsion, LaurentMatrix, LaurentPoly, TorsionSpec,
-                    ProductTorsion, ZeroPolynomialError, exponent_bound,
+                    ProductTorsion, QuadratureBudgetError,
+                    ZeroPolynomialError, exponent_bound,
                     geometric_grid, hexagon_norm_check,
                     symmetry_check, torsion_degree, torsion_from_presentation,
                     triple_figure_eight, triple_figure_eight_torsion)
+from l2alex import degree
 
 
 def P(nvars, terms):
@@ -69,6 +71,19 @@ class TestPresentation:
                             pairs=[(1.0, 0.0)]))
             for t in (0.1, 1.0, 10.0):
                 assert tau.value(t) > 0
+
+    def test_budget_error_estimates_value(self, monkeypatch):
+        # the estimate carries the index 2 and the pair (0, 1), which
+        # divide log V(2) by 2 and then subtract log(2) / 2
+        p = P(2, {(0, 0): 1, (1, 0): 1}) * P(2, {(0, 0): 1, (1, 0): 1,
+                                                 (0, 3): 1})
+        tau = torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[p]]), CohomClass([1, 1]), [(0.0, 1.0)], 2))
+        expect = tau.value(2.0, 1e-10)
+        monkeypatch.setattr(degree, "DEFAULT_NODE_BUDGET", 60)
+        with pytest.raises(QuadratureBudgetError) as info:
+            tau.value(2.0, 1e-13)
+        assert info.value.best_estimate == pytest.approx(expect, rel=1e-3)
 
 
 class TestClosedForms:
