@@ -4,7 +4,9 @@ Building blocks: exact sparse Laurent polynomial algebra (``laurent``),
 cohomology classes and the determinant twist (``twist``), Mahler measures
 (``mahler``), determinant-function degree analysis (``degree``), torsion
 assembly for 3-manifold presentations and closed-form families
-(``torsion3m``), and a CLI (``cli``).
+(``torsion3m``), and a CLI (``cli``). The audits of the paper's claims
+about these results (symmetry, Lipschitz degree, hexagonal norm ball) live
+in the tests' ``oracles.py``.
 
 The quadrature's slice kernel (``kernels``) is numpy: closed forms for
 degrees 0 and 1, a lockstep Aberth-Ehrlich iteration above, with
@@ -14,8 +16,7 @@ directly. ``KERNEL_BACKEND`` names the kernel.
 """
 
 from .degree import (AsymptoteReport, ConvexityReport, DetFunction,
-                     LipschitzReport, chief_part, convexity_check,
-                     det_function, lipschitz_degree_check)
+                     chief_part, convexity_check, det_function)
 from .errors import (ChiefPartTieError, DegenerateSliceError,
                      IllConditionedError, InputError, L2AlexError,
                      QuadratureBudgetError, VariableCountMismatch,
@@ -26,11 +27,9 @@ from .mahler import MahlerResult, RootData, mahler_mv, mahler_mv_report, roots
 from .quadrature import geometric_grid
 from .torsion3m import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                         V3, ConstantTorsion, FiberedTorsion, GraphTorsion,
-                        PresentationTorsion, ProductTorsion, SymmetryReport,
-                        TorsionFunction, TorsionSpec, hexagon_norm_check,
-                        symmetry_check, torsion_degree,
-                        torsion_from_presentation, triple_figure_eight,
-                        triple_figure_eight_torsion)
+                        PresentationTorsion, ProductTorsion, TorsionFunction,
+                        TorsionSpec, torsion_degree, torsion_from_presentation,
+                        triple_figure_eight, triple_figure_eight_torsion)
 from .twist import CohomClass, exponent_bound, twist
 
 __version__ = "0.1.0"
@@ -40,14 +39,12 @@ __all__ = [
     "ConvexityReport", "DegenerateSliceError", "DetFunction", "FiberedTorsion",
     "FIGURE_EIGHT_ENTROPY", "FIGURE_EIGHT_VOLUME", "GraphTorsion",
     "IllConditionedError", "InputError", "KERNEL_BACKEND", "L2AlexError",
-    "LaurentMatrix", "LaurentPoly", "LipschitzReport", "MahlerResult",
-    "PresentationTorsion", "ProductTorsion", "QuadratureBudgetError",
-    "RootData", "SymmetryReport", "TorsionFunction", "TorsionSpec",
-    "UNSPECIFIED", "V3", "VariableCountMismatch", "ZeroMatrixError",
-    "ZeroPolynomialError", "chief_part", "convexity_check",
-    "det_function", "exponent_bound", "geometric_grid",
-    "hexagon_norm_check", "lipschitz_degree_check", "mahler_mv",
-    "mahler_mv_report", "roots", "symmetry_check",
-    "torsion_degree", "torsion_from_presentation", "triple_figure_eight",
+    "LaurentMatrix", "LaurentPoly", "MahlerResult", "PresentationTorsion",
+    "ProductTorsion", "QuadratureBudgetError", "RootData", "TorsionFunction",
+    "TorsionSpec", "UNSPECIFIED", "V3", "VariableCountMismatch",
+    "ZeroMatrixError", "ZeroPolynomialError", "chief_part",
+    "convexity_check", "det_function", "exponent_bound", "geometric_grid",
+    "mahler_mv", "mahler_mv_report", "roots", "torsion_degree",
+    "torsion_from_presentation", "triple_figure_eight",
     "triple_figure_eight_torsion", "twist",
 ]

@@ -50,8 +50,9 @@ from .errors import (ChiefPartTieError, DegenerateSliceError,
 from .laurent import LaurentMatrix
 from .mahler import mahler_mv_report
 from .quadrature import DEFAULT_NODE_BUDGET, geometric_grid
-from .torsion3m import (TorsionSpec, torsion_degree, torsion_from_presentation,
-                        triple_figure_eight, triple_figure_eight_torsion)
+from .torsion3m import (TorsionSpec, _snap_zeros, torsion_degree,
+                        torsion_from_presentation, triple_figure_eight,
+                        triple_figure_eight_torsion)
 from .twist import CohomClass
 
 _EXIT_OK = 0
@@ -246,8 +247,9 @@ def _cmd_torsion(args, out):
 
 
 def _scenario_row(phi) -> dict:
-    data = triple_figure_eight(phi)
-    report = torsion_degree(triple_figure_eight_torsion(phi))
+    snapped = _snap_zeros(phi)   # once, so each coordinate warns once
+    data = triple_figure_eight(snapped)
+    report = torsion_degree(triple_figure_eight_torsion(snapped))
     return {"phi": list(phi), "norm": data["norm"], "delta": data["delta"],
             "leading": data["leading"], "deg_b": report.deg_b}
 

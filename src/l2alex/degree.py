@@ -35,7 +35,6 @@ from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
 from .twist import CohomClass, dot, exponent_bound, twist
 
-_LIPSCHITZ_SLACK = 1e-9
 # <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|, and <r, w> of
 # sum_i |r_i w_i|: two weights closer than this fraction of it are a tie
 _TIE_RTOL = 2.0 ** -40
@@ -276,55 +275,4 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
             and slope_max - slope_min > v.exp_bound + tol):
         report.slope_violations.append(
             (lo_pair, hi_pair, slope_max - slope_min))
-    return report
-
-
-@dataclass
-class LipschitzReport:
-    """Degrees along sigma + lambda * xi and the 2R(A, xi) modulus audit."""
-
-    lambdas: list
-    degrees: list
-    bound_2r: float
-    max_ratio: float = 0.0
-    violations: list = field(default_factory=list)
-    degenerate: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.degenerate or not self.violations
-
-
-def lipschitz_degree_check(a: LaurentMatrix, base: CohomClass, xi: CohomClass,
-                           steps: int, tol: float = 1e-8) -> LipschitzReport:
-    """Sample deg_b along the segment and test the Lipschitz modulus.
-
-    Degrees at sigma_lambda = base + lambda * xi may differ by at most
-    2 * |lambda - mu| * R(A, xi) (+1e-9 slack). A constantly-zero
-    determinant makes every degree undefined; that degenerate case is
-    reported and the check skipped.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    bound = exponent_bound(a, xi)
-    det = a.determinant()
-    lambdas = [k / steps for k in range(steps + 1)]
-    if det.is_zero:
-        return LipschitzReport(lambdas, [], 2.0 * bound, degenerate=True)
-
-    degrees = []
-    for lam in lambdas:
-        sigma = tuple(b + lam * x for b, x in zip(base.sigma, xi.sigma))
-        fn = DetFunction(det, CohomClass(sigma))
-        degrees.append(fn.asymptote(tol).deg_b)
-
-    report = LipschitzReport(lambdas, degrees, 2.0 * bound)
-    for i in range(len(lambdas)):
-        for j in range(i + 1, len(lambdas)):
-            gap = abs(degrees[j] - degrees[i])
-            allowed = 2.0 * abs(lambdas[j] - lambdas[i]) * bound
-            if bound > 0:
-                report.max_ratio = max(report.max_ratio, gap / allowed)
-            if gap > allowed + _LIPSCHITZ_SLACK:
-                report.violations.append((lambdas[i], lambdas[j], gap, allowed))
     return report

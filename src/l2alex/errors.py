@@ -60,8 +60,8 @@ class DegenerateSliceError(L2AlexError):
 
 class IllConditionedError(L2AlexError, ArithmeticError):
     """A root factorization failed its reconstruction check, or a
-    coefficient of a polynomial product (a determinant's) left the double
-    range: the input is too ill-conditioned for double precision."""
+    polynomial coefficient (a determinant's, say) left the double range:
+    the input is too ill-conditioned for double precision."""
 
 
 class ChiefPartTieError(L2AlexError):

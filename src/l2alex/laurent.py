@@ -15,6 +15,9 @@ Conventions:
     integer path and coefficients below 1e-15 x (max |coefficient|) on the
     float path (numerical determinants shed dust terms); ``from_obj``
     refuses input that would lose a coefficient this way;
+  * every coefficient is finite: construction raises IllConditionedError
+    for inf or nan, such as a product or scalar multiple that left the
+    double range;
   * the involution maps sum a_v z^v to sum conj(a_v) z^{-v}; the matrix
     adjoint is the transpose with entrywise involution.
 
@@ -62,18 +65,13 @@ def _is_exact_int(c: complex) -> bool:
 
 
 def _dot(nvars: int, xs, ys) -> "LaurentPoly":
-    """sum_i xs[i] * ys[i], pruned once at the end; IllConditionedError
-    if a coefficient leaves the double range."""
+    """sum_i xs[i] * ys[i], pruned once at the end."""
     out: dict[tuple, complex] = {}
     for x, y in zip(xs, ys):
         for e1, c1 in x.terms.items():
             for e2, c2 in y.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0j) + c1 * c2
-    if not all(map(cmath.isfinite, out.values())):
-        raise IllConditionedError(
-            "a coefficient of a polynomial product left the double range; "
-            "the input is too ill-conditioned for double precision")
     return LaurentPoly(nvars, out)
 
 
@@ -99,6 +97,10 @@ class LaurentPoly:
         if derived:
             clean = {e: c for e, c in clean.items() if c != 0}
         else:
+            if not all(map(cmath.isfinite, clean.values())):
+                raise IllConditionedError(
+                    "a coefficient left the double range; the input is too "
+                    "ill-conditioned for double precision")
             scale = max(abs(c) for c in clean.values()) if clean else 0.0
             clean = {e: c for e, c in clean.items()
                      if abs(c) >= _FLOAT_PRUNE_REL * scale and c != 0}
@@ -118,18 +120,8 @@ class LaurentPoly:
         return cls(nvars, {})
 
     @classmethod
-    def constant(cls, nvars: int, c: complex) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls.constant(nvars, 1)
-
-    @classmethod
-    def variable(cls, nvars: int, j: int) -> "LaurentPoly":
-        exp = [0] * nvars
-        exp[j] = 1
-        return cls(nvars, {tuple(exp): 1})
+        return cls(nvars, {(0,) * nvars: 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -265,19 +257,9 @@ class LaurentMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
 
-    @classmethod
-    def identity(cls, size: int, nvars: int) -> "LaurentMatrix":
-        one = LaurentPoly.one(nvars)
-        zero = LaurentPoly.zero(nvars)
-        return cls([[one if i == j else zero for j in range(size)]
-                    for i in range(size)], nvars=nvars)
-
     @property
     def integer_certified(self) -> bool:
         return all(p.integer_certified for r in self.rows for p in r)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
 
     def __eq__(self, other):
         return (isinstance(other, LaurentMatrix)

@@ -254,63 +254,10 @@ def torsion_from_presentation(spec: TorsionSpec) -> PresentationTorsion:
 
 
 def torsion_degree(tau: TorsionFunction, tol: float = 1e-8) -> AsymptoteReport:
-    if tau.zero_function:
-        raise ZeroPolynomialError("zero torsion function has no degree")
     return tau.degree_report(tol)
 
 
-@dataclass
-class SymmetryReport:
-    """Affine fit of log tau - log tau_neg against log t."""
-
-    slope: float
-    intercept: float
-    max_residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def symmetry_check(tau: TorsionFunction, tau_neg: TorsionFunction, grid,
-                   tol: float = 1e-9, eval_tol: float = 1e-10) -> SymmetryReport:
-    """Check tau and tau_neg agree up to a monomial factor t^r on the grid.
-
-    Fits log tau(t) - log tau_neg(t) = r log t + beta by least squares and
-    reports the fitted r, the intercept, and the largest residual.
-    """
-    if tau.zero_function or tau_neg.zero_function:
-        raise ZeroPolynomialError("symmetry check undefined for zero functions")
-    xs, ys = [], []
-    for t in grid:
-        va = tau.value(t, eval_tol)
-        vb = tau_neg.value(t, eval_tol)
-        if va is UNSPECIFIED or vb is UNSPECIFIED:
-            continue
-        xs.append(math.log(t))
-        ys.append(math.log(va) - math.log(vb))
-    if len(xs) < 2:
-        raise ValueError("grid leaves fewer than 2 evaluable points")
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx if sxx > 0 else 0.0
-    intercept = my - slope * mx
-    residual = max(abs(y - slope * x - intercept) for x, y in zip(xs, ys))
-    return SymmetryReport(slope, intercept, residual, tol)
-
-
 # -- the triple-figure-eight landscape --------------------------------------
-
-HEXAGON_VERTICES = (
-    (0.5, -0.5, 0.0), (-0.5, 0.5, 0.0),
-    (0.0, 0.5, -0.5), (0.0, -0.5, 0.5),
-    (-0.5, 0.0, 0.5), (0.5, 0.0, -0.5),
-)
-
 
 def _snap_zeros(phi):
     out = []
@@ -369,28 +316,3 @@ def triple_figure_eight_torsion(phi) -> ProductTorsion:
             pieces.append(FiberedTorsion(FIGURE_EIGHT_ENTROPY / abs(x),
                                          abs(x), FIGURE_EIGHT_VOLUME))
     return ProductTorsion(pieces)
-
-
-def hexagon_norm_check(phi) -> bool:
-    """Consistency of the norm with the hexagonal unit ball.
-
-    True iff (norm <= 1) matches membership of phi in the convex hull of the
-    six vertices inside the plane phi_0 + phi_1 + phi_2 = 0. Membership is
-    computed geometrically (cross products around the hull), independent of
-    the norm formula.
-    """
-    phi = _snap_zeros(phi)
-    _check_plane(phi)
-    point = (phi[0], phi[1])
-    verts = sorted(((v[0], v[1]) for v in HEXAGON_VERTICES),
-                   key=lambda v: math.atan2(v[1], v[0]))
-    inside = True
-    for k in range(len(verts)):
-        ax, ay = verts[k]
-        bx, by = verts[(k + 1) % len(verts)]
-        cross = (bx - ax) * (point[1] - ay) - (by - ay) * (point[0] - ax)
-        if cross < -_ZERO_SNAP:
-            inside = False
-            break
-    norm_le_1 = (abs(phi[0]) + abs(phi[1]) + abs(phi[2])) <= 1.0 + _ZERO_SNAP
-    return inside == norm_le_1

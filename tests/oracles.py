@@ -1,15 +1,27 @@
-"""Independent oracles used to pin expected values.
+"""Independent oracles used to pin expected values, and audits of the
+paper's claims.
 
-These deliberately avoid the library's own evaluation paths: the torus-mean
-oracles sample log|p| directly (no root finding, no Jensen reduction), and
-the determinant oracle is a plain cofactor recursion.
+The oracles deliberately avoid the library's own evaluation paths: the
+torus-mean oracles sample log|p| directly (no root finding, no Jensen
+reduction), and the determinant oracle is a plain cofactor recursion.
+
+The audits at the end do the opposite: they call the library and check
+what the paper claims about the torsion it returns. tau(phi) and tau(-phi)
+agree up to a monomial (``symmetry_check``), the degree varies in a
+Lipschitz way with the class (``lipschitz_degree_check``), and the
+Thurston norm of the section 9 landscape has the hexagon as its unit ball
+(``hexagon_norm_check``).
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from l2alex import LaurentPoly
+from l2alex import (UNSPECIFIED, CohomClass, DetFunction, LaurentMatrix,
+                    LaurentPoly, TorsionFunction, ZeroPolynomialError,
+                    exponent_bound)
+from l2alex.torsion3m import _ZERO_SNAP, _check_plane, _snap_zeros
 
 _MAX_DEPTH = 48
 # Integration start is shifted by an irrational-ish offset so panel
@@ -129,3 +141,135 @@ def cofactor_determinant(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+# -- audits of the paper's claims --------------------------------------------
+
+@dataclass
+class SymmetryReport:
+    """Affine fit of log tau - log tau_neg against log t."""
+
+    slope: float
+    intercept: float
+    max_residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
+
+def symmetry_check(tau: TorsionFunction, tau_neg: TorsionFunction, grid,
+                   tol: float = 1e-9, eval_tol: float = 1e-10) -> SymmetryReport:
+    """Check tau and tau_neg agree up to a monomial factor t^r on the grid.
+
+    Fits log tau(t) - log tau_neg(t) = r log t + beta by least squares and
+    reports the fitted r, the intercept, and the largest residual.
+    """
+    if tau.zero_function or tau_neg.zero_function:
+        raise ZeroPolynomialError("symmetry check undefined for zero functions")
+    xs, ys = [], []
+    for t in grid:
+        va = tau.value(t, eval_tol)
+        vb = tau_neg.value(t, eval_tol)
+        if va is UNSPECIFIED or vb is UNSPECIFIED:
+            continue
+        xs.append(math.log(t))
+        ys.append(math.log(va) - math.log(vb))
+    if len(xs) < 2:
+        raise ValueError("grid leaves fewer than 2 evaluable points")
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx if sxx > 0 else 0.0
+    intercept = my - slope * mx
+    residual = max(abs(y - slope * x - intercept) for x, y in zip(xs, ys))
+    return SymmetryReport(slope, intercept, residual, tol)
+
+
+_LIPSCHITZ_SLACK = 1e-9
+
+
+@dataclass
+class LipschitzReport:
+    """Degrees along sigma + lambda * xi and the 2R(A, xi) modulus audit."""
+
+    lambdas: list
+    degrees: list
+    bound_2r: float
+    max_ratio: float = 0.0
+    violations: list = field(default_factory=list)
+    degenerate: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.degenerate or not self.violations
+
+
+def lipschitz_degree_check(a: LaurentMatrix, base: CohomClass, xi: CohomClass,
+                           steps: int, tol: float = 1e-8) -> LipschitzReport:
+    """Sample deg_b along the segment and test the Lipschitz modulus.
+
+    Degrees at sigma_lambda = base + lambda * xi may differ by at most
+    2 * |lambda - mu| * R(A, xi) (+1e-9 slack). A constantly-zero
+    determinant makes every degree undefined; that degenerate case is
+    reported and the check skipped.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    bound = exponent_bound(a, xi)
+    det = a.determinant()
+    lambdas = [k / steps for k in range(steps + 1)]
+    if det.is_zero:
+        return LipschitzReport(lambdas, [], 2.0 * bound, degenerate=True)
+
+    degrees = []
+    for lam in lambdas:
+        sigma = tuple(b + lam * x for b, x in zip(base.sigma, xi.sigma))
+        fn = DetFunction(det, CohomClass(sigma))
+        degrees.append(fn.asymptote(tol).deg_b)
+
+    report = LipschitzReport(lambdas, degrees, 2.0 * bound)
+    for i in range(len(lambdas)):
+        for j in range(i + 1, len(lambdas)):
+            gap = abs(degrees[j] - degrees[i])
+            allowed = 2.0 * abs(lambdas[j] - lambdas[i]) * bound
+            if bound > 0:
+                report.max_ratio = max(report.max_ratio, gap / allowed)
+            if gap > allowed + _LIPSCHITZ_SLACK:
+                report.violations.append((lambdas[i], lambdas[j], gap, allowed))
+    return report
+
+
+HEXAGON_VERTICES = (
+    (0.5, -0.5, 0.0), (-0.5, 0.5, 0.0),
+    (0.0, 0.5, -0.5), (0.0, -0.5, 0.5),
+    (-0.5, 0.0, 0.5), (0.5, 0.0, -0.5),
+)
+
+
+def hexagon_norm_check(phi) -> bool:
+    """Consistency of the norm with the hexagonal unit ball.
+
+    True iff (norm <= 1) matches membership of phi in the convex hull of the
+    six vertices inside the plane phi_0 + phi_1 + phi_2 = 0. Membership is
+    computed geometrically (cross products around the hull), independent of
+    the norm formula.
+    """
+    phi = _snap_zeros(phi)
+    _check_plane(phi)
+    point = (phi[0], phi[1])
+    verts = sorted(((v[0], v[1]) for v in HEXAGON_VERTICES),
+                   key=lambda v: math.atan2(v[1], v[0]))
+    inside = True
+    for k in range(len(verts)):
+        ax, ay = verts[k]
+        bx, by = verts[(k + 1) % len(verts)]
+        cross = (bx - ax) * (point[1] - ay) - (by - ay) * (point[0] - ax)
+        if cross < -_ZERO_SNAP:
+            inside = False
+            break
+    norm_le_1 = (abs(phi[0]) + abs(phi[1]) + abs(phi[2])) <= 1.0 + _ZERO_SNAP
+    return inside == norm_le_1

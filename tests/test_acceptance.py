@@ -16,15 +16,15 @@ import pytest
 from l2alex import (CohomClass, LaurentMatrix, LaurentPoly,
                     UNSPECIFIED, FIGURE_EIGHT_ENTROPY, TorsionSpec, V3,
                     convexity_check, det_function, exponent_bound,
-                    geometric_grid, lipschitz_degree_check, mahler_mv,
-                    symmetry_check, torsion_degree, torsion_from_presentation,
+                    geometric_grid, mahler_mv, torsion_degree,
+                    torsion_from_presentation,
                     triple_figure_eight, triple_figure_eight_torsion,
                     twist, FiberedTorsion, GraphTorsion, ProductTorsion)
 from l2alex.kernels import KERNEL_BACKEND
 
 from conftest import (random_int_matrix, random_int_poly,
                       random_rational_class)
-from oracles import quad_mahler_1v
+from oracles import lipschitz_degree_check, quad_mahler_1v, symmetry_check
 
 QUADRATIC = LaurentPoly(1, {(2,): 1, (1,): -3, (0,): 1})
 LEHMER = LaurentPoly(1, {(10,): 1, (9,): 1, (7,): -1, (6,): -1, (5,): -1,

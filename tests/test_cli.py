@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -304,6 +305,16 @@ class TestCommands:
         _, joined, _ = run_cli(
             ["scenario", "section9", "--phi=-1,1,0"], capsys)
         assert out == joined
+
+    def test_scenario_snaps_each_coordinate_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                ["scenario", "section9", "--phi", "1e-13,-1e-13,0"], capsys)
+        assert code == 0
+        assert len(caught) == 2
+        assert out == ('{"phi":[1e-13,-1e-13,0],"norm":0,"delta":3,'
+                       '"leading":1.38135644452,"deg_b":0}\n')
 
     def test_scenario_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -7,11 +7,12 @@ from l2alex import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                     V3, CohomClass, ConstantTorsion, FiberedTorsion,
                     GraphTorsion, LaurentMatrix, LaurentPoly, TorsionSpec,
                     ProductTorsion, QuadratureBudgetError,
-                    ZeroPolynomialError, exponent_bound,
-                    geometric_grid, hexagon_norm_check,
-                    symmetry_check, torsion_degree, torsion_from_presentation,
+                    ZeroPolynomialError, exponent_bound, geometric_grid,
+                    torsion_degree, torsion_from_presentation,
                     triple_figure_eight, triple_figure_eight_torsion)
 from l2alex import degree
+
+from oracles import hexagon_norm_check, symmetry_check
 
 
 def P(nvars, terms):
@@ -128,6 +129,31 @@ class TestClosedForms:
         assert (rep.deg_b, rep.C_plus, rep.C_minus) == (2.0, 1.0, 1.0)
         rep = ConstantTorsion(1.5).degree_report()
         assert (rep.deg_b, rep.C_plus, rep.C_minus) == (0.0, 1.5, 1.5)
+
+
+class TestTorusKnots:
+    """The torus knot group <a, b | a^p = b^q> as a presentation.
+
+    a and b abelianize to z^q and z^p. The Fox derivative of a^p b^-q by a
+    is sum_{k<p} z^{qk}, and deleting b leaves the divisor max(1, t^p): the
+    pair (p, 0). Its roots lie on the circle, so V(t) = max(1, t)^(q(p-1))
+    and tau(t) = max(1, t)^(pq-p-q), the zero-volume closed form with the
+    Thurston norm 2g - 1 = pq - p - q.
+    """
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (2, 5), (3, 4), (3, 5),
+                                      (4, 7)])
+    def test_torsion_is_graph_closed_form(self, p, q):
+        fox = P(1, {(q * k,): 1 for k in range(p)})
+        tau = torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[fox]]), CohomClass([1.0]), [(p, 0)]))
+        norm = p * q - p - q
+        for t in geometric_grid(1e-3, 1e3, 13):
+            assert tau.value(t) == pytest.approx(GraphTorsion(norm).value(t),
+                                                 rel=1e-12)
+        rep = torsion_degree(tau)
+        assert rep.deg_b == norm
+        assert (rep.C_plus, rep.C_minus) == (1.0, 1.0)
 
 
 class TestGlue:

@@ -148,10 +148,8 @@ class TestExponentBound:
         assert exponent_bound(a, CohomClass([1.0])) == 1.0
 
     def test_constant_matrix(self):
-        a = LaurentMatrix([[LaurentPoly.constant(1, 2),
-                            LaurentPoly.constant(1, 0)],
-                           [LaurentPoly.constant(1, 1),
-                            LaurentPoly.constant(1, 5)]])
+        a = LaurentMatrix([[P(1, {(0,): 2}), P(1, {(0,): 0})],
+                           [P(1, {(0,): 1}), P(1, {(0,): 5})]])
         assert exponent_bound(a, CohomClass([3.0])) == 0.0
 
     def test_scaling_homogeneity(self, rng):
