@@ -16,10 +16,11 @@ weight d = max <sigma, v> (smallest, for t -> 0+) form the face q, and
     log V(t) = log M(q) + d log t + o(1).
 
 A decomposition sigma = sum r_i Phi_i weighs v by the integer w = Phi v, with
-d = <r, w>; without one the weight is the float <sigma, v>. For integer
-determinant polynomials the faces ("chief parts") are integer polynomials,
-so both leading coefficients are >= 1. An exponent beyond the double range
-is reported as +-inf.
+d = <r, w>; without one the weight is the float <sigma, v>. One grouping by
+weight gives both faces ("chief parts"); for integer determinants they are
+integer polynomials, so both leading coefficients are >= 1. These are
+exp(log M(q) / index), the root taken in log space. An exponent beyond the
+double range is reported as +-inf.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 from .errors import (ChiefPartTieError, InputError, QuadratureBudgetError,
                      ZeroMatrixError, ZeroPolynomialError)
 from .laurent import LaurentMatrix, LaurentPoly
-from .mahler import (RootData, log_scaled_mahler_from_roots, mahler_mv,
-                     log_mahler_mv, roots, saturating_exp)
+from .mahler import (RootData, log_scaled_mahler_from_roots, log_mahler_mv,
+                     mahler_mv_report, roots, saturating_exp)
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
 from .twist import CohomClass, dot, exponent_bound, twist
 
@@ -39,9 +40,6 @@ from .twist import CohomClass, dot, exponent_bound, twist
 # sum_i |r_i w_i|: two weights closer than this fraction of it are a tie
 _TIE_RTOL = 2.0 ** -40
 _GRID_GEOMETRIC_RTOL = 1e-9
-
-END_PLUS = "+inf"
-END_MINUS = "0+"
 
 
 @dataclass(frozen=True)
@@ -132,15 +130,13 @@ class DetFunction:
         if self.is_zero:
             raise ZeroPolynomialError(
                 "the constantly-zero function has no asymptote degrees")
-        dp, cp = self._exact_end(END_PLUS, tol)
-        dm, cm = self._exact_end(END_MINUS, tol)
+        k = self.index_divisor
+        (dp, cp), (dm, cm) = [
+            (_end_weight(self.cohom, w) / k,
+             saturating_exp(mahler_mv_report(q, tol).log_measure / k))
+            for w, q in chief_part(self.det_poly, self.cohom)]
         method = "exact-chief-part" if self.cohom.has_decomposition else "face"
         return AsymptoteReport(dp, dm, cp, cm, method)
-
-    def _exact_end(self, end: str, tol: float):
-        w, q = chief_part(self.det_poly, self.cohom, end)
-        coeff = mahler_mv(q, tol) ** (1.0 / self.index_divisor)
-        return _end_weight(self.cohom, w) / self.index_divisor, coeff
 
 
 def det_function(a: LaurentMatrix, c: CohomClass,
@@ -157,12 +153,13 @@ def _end_weight(c: CohomClass, w: tuple) -> float:
     return dot(c.r, w) if c.has_decomposition else w[0]
 
 
-def chief_part(p: LaurentPoly, c: CohomClass, end: str):
-    """Extremal weight group (face) of p at one end.
+def chief_part(p: LaurentPoly, c: CohomClass):
+    """Both extremal weight groups (faces) of p, from one grouping.
 
     Groups monomials by w = Phi v, or by w = (<sigma, v>,) without a
-    decomposition, and returns (w, q_w) for the group of largest weight
-    (end "+inf") or smallest (end "0+"). A runner-up closer to it than
+    decomposition, and returns ((w_plus, q_plus), (w_minus, q_minus)) for
+    the group of largest weight (t -> +inf) and of smallest (t -> 0+),
+    checked for ties in that order. A runner-up closer to it than
     _TIE_RTOL times the scale at which the two weights round is a tie. The
     scale is the larger sum_i |r_i w_i| of the two groups with a
     decomposition (a tie there breaks the asserted Q-linear independence of
@@ -170,8 +167,6 @@ def chief_part(p: LaurentPoly, c: CohomClass, end: str):
     """
     if p.is_zero:
         raise ZeroPolynomialError("chief part undefined for the zero polynomial")
-    if end not in (END_PLUS, END_MINUS):
-        raise ValueError(f'end must be "{END_PLUS}" or "{END_MINUS}"')
 
     groups: dict[tuple, dict] = {}
     for exp, coeff in p.terms.items():
@@ -180,22 +175,22 @@ def chief_part(p: LaurentPoly, c: CohomClass, end: str):
 
     keyed = sorted(((_end_weight(c, w), w) for w in groups),
                    key=lambda kw: (kw[0],) + kw[1])
-    best = keyed[-1] if end == END_PLUS else keyed[0]
-    if len(keyed) > 1:
-        runner = keyed[-2] if end == END_PLUS else keyed[1]
-        if c.has_decomposition:
-            xs, vectors = c.r, (best[1], runner[1])
-        else:
-            xs, vectors = c.sigma, (*groups[best[1]], *groups[runner[1]])
-        scale = max(dot([abs(x) for x in xs], [abs(n) for n in v])
-                    for v in vectors)
-        if abs(best[0] - runner[0]) < _TIE_RTOL * scale:
-            raise ChiefPartTieError(
-                f"weight groups {best[1]} and {runner[1]} tie at "
-                f"{best[0]!r}: only a decomposition into rationally "
-                f"independent r separates them")
-    w = best[1]
-    return w, LaurentPoly(p.nvars, groups[w])
+    faces = []
+    for best, runners in ((keyed[-1], keyed[-2:-1]), (keyed[0], keyed[1:2])):
+        for runner in runners:
+            if c.has_decomposition:
+                xs, vectors = c.r, (best[1], runner[1])
+            else:
+                xs, vectors = c.sigma, (*groups[best[1]], *groups[runner[1]])
+            scale = max(dot([abs(x) for x in xs], [abs(n) for n in v])
+                        for v in vectors)
+            if abs(best[0] - runner[0]) < _TIE_RTOL * scale:
+                raise ChiefPartTieError(
+                    f"weight groups {best[1]} and {runner[1]} tie at "
+                    f"{best[0]!r}: only a decomposition into rationally "
+                    f"independent r separates them")
+        faces.append((best[1], LaurentPoly(p.nvars, groups[best[1]])))
+    return tuple(faces)
 
 
 @dataclass
@@ -225,8 +220,9 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
     """Check multiplicative convexity and the exponent bound on a grid.
 
     For every adjacent triple of the geometric grid, the midpoint must obey
-    log V(mid) <= (log V(lo) + log V(hi)) / 2 + tol. The two-point log-log
-    slopes must all fit in one window of width exp_bound + tol: the matrix
+    log V(mid) <= (log V(lo) + log V(hi)) / 2 + tol. The log-log slopes of
+    adjacent points (any other chord's slope is a positive mean of them)
+    must all fit in one window of width exp_bound + tol: the matrix
     exponent bound R caps deg_b, the total spread of slopes, not |slope|
     itself (V(t) = t from the 1x1 matrix [z] has constant slope 1 with
     R = 0). A constantly-zero function passes trivially (flagged); a value
@@ -262,13 +258,12 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
     lo_pair = hi_pair = None
     slope_min = math.inf
     slope_max = -math.inf
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            slope = (logs[j] - logs[i]) / (logt[j] - logt[i])
-            if slope < slope_min:
-                slope_min, lo_pair = slope, (grid[i], grid[j])
-            if slope > slope_max:
-                slope_max, hi_pair = slope, (grid[i], grid[j])
+    for i in range(len(grid) - 1):
+        slope = (logs[i + 1] - logs[i]) / (logt[i + 1] - logt[i])
+        if slope < slope_min:
+            slope_min, lo_pair = slope, (grid[i], grid[i + 1])
+        if slope > slope_max:
+            slope_max, hi_pair = slope, (grid[i], grid[i + 1])
     report.slope_min = slope_min
     report.slope_max = slope_max
     if (v.exp_bound is not None

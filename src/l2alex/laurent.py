@@ -9,7 +9,8 @@ polynomials are exact, and downstream code may rely on integrality (Mahler
 measures of nonzero integer Laurent polynomials are >= 1).
 
 Conventions:
-  * exponent vectors are tuples of ints; componentwise addition is the group
+  * exponent vectors are tuples of ints, and construction refuses a
+    component such as 2.9 (2.0 is 2); componentwise addition is the group
     law, and the canonical term order is lexicographic on exponent tuples;
   * no stored coefficient is zero: construction prunes exact zeros on the
     integer path and coefficients below 1e-15 x (max |coefficient|) on the
@@ -84,8 +85,10 @@ class LaurentPoly:
         if nvars < 0:
             raise ValueError("variable count must be >= 0")
         clean: dict[tuple, complex] = {}
-        for exp, c in terms.items():
-            exp = tuple(int(e) for e in exp)
+        for raw, c in terms.items():
+            exp = tuple(map(int, raw))
+            if exp != raw:
+                raise ValueError(f"exponent {raw} is not a vector of integers")
             if len(exp) != nvars:
                 raise VariableCountMismatch(
                     f"exponent vector {exp} has length {len(exp)}, expected {nvars}")

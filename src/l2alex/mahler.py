@@ -74,22 +74,13 @@ class MahlerResult:
 def _reconstruction_error(lead, rts, coeffs):
     """Relative mismatch between coeffs and lead * prod (z - b).
 
-    Low degrees compare coefficients from direct expansion. Beyond that the
-    sequential convolution itself becomes the unstable step (intermediate
-    coefficients of partial products can dwarf the final ones), so the
-    factorization is compared by values on the circle |z| = R that dominates
-    every root, as p(R w) / R^d on |w| = 1: coefficients c_k R^(k-d) and
-    roots b / R, so that no power of R can overflow. A mismatch that is not
-    finite is returned as such; callers must count it as a failure.
+    Compared by values on the circle |z| = R that dominates every root, as
+    p(R w) / R^d on |w| = 1: coefficients c_k R^(k-d) and roots b / R, so
+    that no power of R can overflow. A mismatch that is not finite is
+    returned as such; callers must count it as a failure.
     """
     scale = float(np.max(np.abs(coeffs)))
     d = len(coeffs) - 1
-    if d <= 16:
-        recon = lead * np.ones(1, dtype=np.complex128)
-        for b in rts:
-            recon = np.convolve(recon,
-                                np.array([-b, 1.0], dtype=np.complex128))
-        return float(np.max(np.abs(recon - coeffs))) / scale
     radius = max(1.0, float(np.max(np.abs(rts))))
     ws = np.exp(2j * np.pi * (np.arange(2 * d + 3) + 0.39) / (2 * d + 3))
     with np.errstate(all="ignore"):

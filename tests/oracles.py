@@ -3,7 +3,9 @@ paper's claims.
 
 The oracles deliberately avoid the library's own evaluation paths: the
 torus-mean oracles sample log|p| directly (no root finding, no Jensen
-reduction), and the determinant oracle is a plain cofactor recursion.
+reduction), and the determinant oracle is a plain cofactor recursion. The
+Fox-calculus helpers build presentation matrices from group words, so that
+knot groups reach the library the way the paper's inputs do.
 
 The audits at the end do the opposite: they call the library and check
 what the paper claims about the torsion it returns. tau(phi) and tau(-phi)
@@ -141,6 +143,43 @@ def cofactor_determinant(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+# -- Fox calculus ------------------------------------------------------------
+#
+# A free-group word is a list of letters (generator, +1 or -1).
+
+def inverse_word(word):
+    return [(g, -sign) for g, sign in reversed(word)]
+
+
+def fox_derivative_1v(word, gen):
+    """The Fox derivative d word / d gen with every generator sent to z.
+
+    By the rule d(uv) = du + u dv with d gen = 1 and d gen^-1 = -gen^-1, each
+    letter gen^+-1 adds +-z^e, where e is the exponent sum of the word before
+    it (through it, for gen^-1). Returns the {(e,): coefficient} terms.
+    """
+    terms = {}
+    e = 0
+    for g, sign in word:
+        if sign < 0:
+            e -= 1
+        if g == gen:
+            terms[(e,)] = terms.get((e,), 0) + sign
+        if sign > 0:
+            e += 1
+    return {k: c for k, c in terms.items() if c}
+
+
+def two_bridge_relator(p: int, q: int):
+    """The relator w x w^-1 y^-1 of the 2-bridge knot b(p, q) (p odd).
+
+    The group is <x, y | w x = y w>, where w = x^e1 y^e2 x^e3 ... has p - 1
+    letters alternating from x and e_i = (-1)^floor(i q / p).
+    """
+    w = [("xy"[i % 2], (-1) ** ((i + 1) * q // p)) for i in range(p - 1)]
+    return w + [("x", 1)] + inverse_word(w) + [("y", -1)]
 
 
 # -- audits of the paper's claims --------------------------------------------

@@ -245,6 +245,29 @@ class TestCommands:
         assert (obj["d_plus"], obj["d_minus"]) == (6, 2)
         assert (obj["C_plus"], obj["C_minus"]) == (124823262, 943551)
 
+    def test_degree_leading_coefficient_root_in_log_space(self, tmp_path,
+                                                          capsys):
+        # index 2: the faces' measures 1.5e308 * golden and 1.5e308 leave
+        # the double range, their square roots do not
+        big = 1.5e308
+        path = tmp_path / "huge_faces.json"
+        path.write_text(json.dumps({
+            "variables": ["x", "y"],
+            "matrix": [[[{"exp": [1, 2], "re": big},
+                         {"exp": [1, 1], "re": -big},
+                         {"exp": [1, 0], "re": -big},
+                         {"exp": [0, 0], "re": big}]]],
+            "class": {"sigma": [1, 0]}, "index_divisor": 2}))
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert (obj["d_plus"], obj["d_minus"]) == (0.5, 0)
+        golden = (1 + math.sqrt(5)) / 2
+        assert obj["C_plus"] == pytest.approx(
+            math.exp((math.log(big) + math.log(golden)) / 2), rel=1e-10)
+        assert obj["C_minus"] == pytest.approx(math.sqrt(big), rel=1e-10)
+        assert obj["C_plus"] == pytest.approx(1.5579e154, rel=1e-4)
+
     def test_mahler_quadratic(self, quadratic_file, capsys):
         code, out, _ = run_cli(["mahler", "--input", quadratic_file], capsys)
         assert code == 0

@@ -135,39 +135,65 @@ class TestChiefPart:
     def test_univariate_ends(self):
         p = P(1, {(2,): 1, (1,): -3, (0,): 1})
         c = CohomClass([1.0])
-        w, q = chief_part(p, c, "+inf")
+        w, q = chief_part(p, c)[0]
         assert w == (2,) and q == P(1, {(2,): 1})
-        w, q = chief_part(p, c, "0+")
+        w, q = chief_part(p, c)[1]
         assert w == (0,) and q == P(1, {(0,): 1})
 
     def test_two_dim_weights(self):
         p = P(2, {(1, 1): 2, (1, 0): 1, (0, 0): 3})
         c = CohomClass([1.0, math.sqrt(2)], r=[1.0, math.sqrt(2)],
                        phi=[[1, 0], [0, 1]])
-        w, q = chief_part(p, c, "+inf")
+        w, q = chief_part(p, c)[0]
         assert w == (1, 1) and q == P(2, {(1, 1): 2})
-        w, q = chief_part(p, c, "0+")
+        w, q = chief_part(p, c)[1]
         assert w == (0, 0) and q == P(2, {(0, 0): 3})
 
     def test_collapsed_group_survives(self):
         # Phi collapses z2: the fiber polynomial keeps all three monomials
         p = P(2, {(1, 0): 1, (1, 1): -1, (1, 2): 1})
         c = CohomClass([1.0, 0.0], r=[1.0], phi=[[1, 0]])
-        w, q = chief_part(p, c, "+inf")
+        w, q = chief_part(p, c)[0]
         assert w == (1,)
         assert q == p
-        assert chief_part(p, c, "0+")[0] == (1,)
+        assert chief_part(p, c)[1][0] == (1,)
 
     def test_tie_raises(self):
         p = P(2, {(1, 0): 1, (0, 1): 1})
         c = CohomClass([1.0, 1.0], r=[1.0, 1.0], phi=[[1, 0], [0, 1]])
         with pytest.raises(ChiefPartTieError):
-            chief_part(p, c, "+inf")
+            chief_part(p, c)[0]
         # float weights that agree to rounding, with no decomposition
         c = CohomClass([SQRT2, SQRT2 + 1e-14])
         assert not c.has_decomposition
         with pytest.raises(ChiefPartTieError):
-            chief_part(p, c, "+inf")
+            chief_part(p, c)[0]
+
+    def test_tie_at_both_ends_names_the_plus_end(self):
+        c = CohomClass([1.0, 1.0], r=[1.0, 1.0], phi=[[1, 0], [0, 1]])
+        p = P(2, {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1})
+        with pytest.raises(ChiefPartTieError, match="tie at 1.0:"):
+            chief_part(p, c)
+        # a unique largest group: the smallest groups' tie is named
+        p = P(2, {(2, 0): 1, (-1, 0): 1, (0, -1): 1})
+        with pytest.raises(ChiefPartTieError, match="tie at -1.0:"):
+            chief_part(p, c)
+
+    def test_asymptote_weighs_each_monomial_once(self, monkeypatch):
+        calls = []
+        weigh = CohomClass.integer_weight
+
+        def counted(c, exp):
+            calls.append(exp)
+            return weigh(c, exp)
+
+        monkeypatch.setattr(CohomClass, "integer_weight", counted)
+        p = P(2, {(1, 1): 2, (1, 0): 1, (0, 0): 3})
+        c = CohomClass([1.0, SQRT2], r=[1.0, SQRT2], phi=[[1, 0], [0, 1]])
+        rep = DetFunction(p, c).asymptote()
+        assert sorted(calls) == sorted(p.terms)
+        assert (rep.d_plus, rep.d_minus) == (1.0 + SQRT2, 0.0)
+        assert (rep.C_plus, rep.C_minus) == pytest.approx((2.0, 3.0))
 
     def test_small_decomposed_weights_are_no_tie(self):
         # <r, w> of the groups (2,) and (1,) differ by 1e-13, at a scale of
@@ -180,7 +206,7 @@ class TestChiefPart:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            chief_part(LaurentPoly.zero(1), CohomClass([1.0]), "+inf")
+            chief_part(LaurentPoly.zero(1), CohomClass([1.0]))
 
 
 class TestAsymptote:
@@ -346,6 +372,19 @@ class TestConvexityCheck:
         v = quadratic_fn()
         with pytest.raises(ValueError):
             convexity_check(v, [0.1, 0.2, 10.0])
+
+    def test_slope_range_is_the_range_of_all_chords(self, rng):
+        # every chord's slope is a positive mean of the adjacent slopes it
+        # spans, so the adjacent slopes alone give the extremes
+        a = random_int_matrix(rng, 2, 1)
+        grid = geometric_grid(1e-2, 1e2, 9)
+        rep = convexity_check(det_function(a, CohomClass([1.5])), grid)
+        logs = [math.log(x) for x in rep.values]
+        logt = [math.log(t) for t in grid]
+        chords = [(logs[j] - logs[i]) / (logt[j] - logt[i])
+                  for i in range(len(grid)) for j in range(i + 1, len(grid))]
+        assert rep.slope_min == pytest.approx(min(chords), abs=1e-12)
+        assert rep.slope_max == pytest.approx(max(chords), abs=1e-12)
 
     def test_slope_monotone_along_grid(self, rng):
         # adjacent-pair slopes are nondecreasing for a convex function

@@ -65,6 +65,19 @@ class TestPolyBasics:
         with pytest.raises(IllConditionedError):
             make()
 
+    @pytest.mark.parametrize("terms, named", [
+        ({(2.9,): 1, (0,): -1}, "(2.9,)"),
+        ({(1.5,): 2, (1,): 3}, "(1.5,)"),
+    ], ids=["z^2.9-1", "2z^1.5+3z"])
+    def test_non_integer_exponent_refused(self, terms, named):
+        # int() would truncate them to z^2 - 1 and 5z
+        with pytest.raises(ValueError) as info:
+            P(1, terms)
+        assert named in str(info.value)
+
+    def test_integral_float_exponent_accepted(self):
+        assert P(1, {(2.0,): 1, (0,): -1}) == P(1, {(2,): 1, (0,): -1})
+
 
 class TestPolyMul:
     def test_difference_of_squares(self):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from l2alex import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
@@ -12,7 +13,8 @@ from l2alex import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                     triple_figure_eight, triple_figure_eight_torsion)
 from l2alex import degree
 
-from oracles import hexagon_norm_check, symmetry_check
+from oracles import (fox_derivative_1v, hexagon_norm_check, symmetry_check,
+                     two_bridge_relator)
 
 
 def P(nvars, terms):
@@ -154,6 +156,62 @@ class TestTorusKnots:
         rep = torsion_degree(tau)
         assert rep.deg_b == norm
         assert (rep.C_plus, rep.C_minus) == (1.0, 1.0)
+
+
+class TestTwoBridgeKnots:
+    """The 2-bridge knot b(p, q) as the presentation <x, y | w x = y w>.
+
+    The Fox derivative of its relator by x, at x, y -> z, is the Alexander
+    polynomial Delta up to a unit +-z^k, and deleting y leaves the divisor
+    z - 1: the pair (1, 0). So tau(t) = M(Delta(t z)) / max(1, t), whose
+    degree deg Delta - 1 is the Thurston norm 2g - 1 and whose leading
+    coefficients are |leading coefficient of Delta|.
+    """
+
+    @staticmethod
+    def torsion(p, q):
+        entry = fox_derivative_1v(two_bridge_relator(p, q), "x")
+        return entry, torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[P(1, entry)]]), CohomClass([1.0]), [(1, 0)]))
+
+    @pytest.mark.parametrize("p, q, alexander", [
+        (3, 1, [1, -1, 1]),
+        (5, 3, [-1, 3, -1]),
+        (5, 1, [1, -1, 1, -1, 1]),
+        (7, 3, [2, -3, 2]),
+    ])
+    def test_fox_entry_gives_norm_and_leading_coefficient(self, p, q,
+                                                         alexander):
+        entry, tau = self.torsion(p, q)
+        low = min(entry)[0]
+        coeffs = [entry.get((low + k,), 0) for k in range(len(alexander))]
+        assert len(entry) == sum(1 for c in alexander if c)
+        assert coeffs in (alexander, [-c for c in alexander])
+        rep = torsion_degree(tau)
+        assert rep.deg_b == len(alexander) - 2
+        assert (rep.C_plus, rep.C_minus) == pytest.approx(
+            (abs(alexander[-1]), abs(alexander[0])), rel=1e-15)
+        # Jensen's formula on 30-digit roots: M(Delta(t z)) is
+        # |a_top| t^low prod max(t, |b|)
+        with mpmath.workdps(30):
+            roots = mpmath.polyroots(alexander[::-1], maxsteps=200,
+                                     extraprec=100)
+            for t in geometric_grid(1e-3, 1e3, 13):
+                tm = mpmath.mpf(t)
+                exact = abs(alexander[-1]) * tm ** low / max(1, tm)
+                for b in roots:
+                    exact *= max(tm, abs(b))
+                assert tau.value(t) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_trefoil_is_the_torus_knot(self):
+        # b(3, 1) and T(2, 3) are the trefoil
+        _, tau = self.torsion(3, 1)
+        torus = torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[P(1, {(0,): 1, (3,): 1})]]), CohomClass([1.0]),
+            [(2, 0)]))
+        for t in geometric_grid(1e-3, 1e3, 13):
+            assert tau.value(t) == pytest.approx(torus.value(t), rel=1e-12)
+        assert torsion_degree(tau) == torsion_degree(torus)
 
 
 class TestGlue:
