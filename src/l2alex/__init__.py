@@ -23,7 +23,7 @@ from .errors import (ChiefPartTieError, DegenerateSliceError,
                      ZeroMatrixError, ZeroPolynomialError)
 from .kernels import KERNEL_BACKEND
 from .laurent import LaurentMatrix, LaurentPoly
-from .mahler import MahlerResult, RootData, mahler_mv, mahler_mv_report, roots
+from .mahler import MahlerResult, RootData, mahler_mv_report, roots
 from .quadrature import geometric_grid
 from .torsion3m import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                         V3, ConstantTorsion, FiberedTorsion, GraphTorsion,
@@ -44,7 +44,7 @@ __all__ = [
     "TorsionSpec", "UNSPECIFIED", "V3", "VariableCountMismatch",
     "ZeroMatrixError", "ZeroPolynomialError", "chief_part",
     "convexity_check", "det_function", "exponent_bound", "geometric_grid",
-    "mahler_mv", "mahler_mv_report", "roots", "torsion_degree",
+    "mahler_mv_report", "roots", "torsion_degree",
     "torsion_from_presentation", "triple_figure_eight",
     "triple_figure_eight_torsion", "twist",
 ]

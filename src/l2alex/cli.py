@@ -18,18 +18,19 @@ a coefficient too small beside the entry's largest one to be kept in
 double precision is refused at parse time as error[bad-matrix], naming
 the entry and the exponent. A class with a non-finite sigma or r entry,
 or an r and phi that do not reproduce sigma, answers error[bad-class]; a
-pair with a non-finite value answers error[bad-pairs]. ``eval`` and
-``torsion`` print no row when a value on the grid
-of a function that is not constantly zero exceeds the double range or
-falls below it: they answer error[overflow] or error[underflow], naming
-the first such t, and exit 1. ``convexity`` answers error[underflow] the
-same way. A JSON result with a field beyond the double
-range (inf, -inf or nan; such as the measure of ``mahler``, ``d_plus`` of
-``degree`` or ``slope_max`` of ``convexity``) prints nothing and answers
-error[overflow], naming the field, exit 1. ``mahler`` on a constantly-zero
-determinant answers error[degeneracy], exit 3, as ``degree`` does, while
-``eval``, ``torsion`` and ``convexity`` report the zero function. A grid
-of ``convexity`` with fewer than 3 points answers error[bad-grid], and a
+pair with a non-finite value answers error[bad-pairs]. A JSON true or
+false where a number is expected is refused under the same kinds (and
+error[bad-index-divisor]). ``eval`` and ``torsion`` print no row when a
+value on the grid of a function that is not constantly zero exceeds the
+double range or falls below it: they answer error[overflow] or
+error[underflow], naming the first such t, and exit 1. A JSON result
+with a field beyond the double range (inf, -inf or nan; such as the
+measure of ``mahler``, ``d_plus`` of ``degree`` or ``slope_max`` of
+``convexity``) prints nothing and answers error[overflow], naming the
+field, exit 1. ``mahler`` on a constantly-zero determinant answers
+error[degeneracy], exit 3, as ``degree`` does, while ``eval``,
+``torsion`` and ``convexity`` report the zero function. A grid of
+``convexity`` with fewer than 3 points answers error[bad-grid], and a
 --phi with a coordinate that is not finite error[bad-phi], both exit 1.
 """
 
@@ -70,6 +71,14 @@ class InputDocument:
     index_divisor: int
 
 
+def _has_boolean(value) -> bool:
+    """A JSON true or false anywhere in value (Python reads it as 1 or 0)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_has_boolean, value)))
+
+
 def parse_input(text: str) -> InputDocument:
     """Parse and validate a JSON input document before any computation."""
     try:
@@ -87,6 +96,10 @@ def parse_input(text: str) -> InputDocument:
 
     if "matrix" not in obj or "class" not in obj:
         raise InputError("missing-field", 'both "matrix" and "class" are required')
+    for name in ("matrix", "class", "pairs", "index_divisor"):
+        if _has_boolean(obj.get(name)):   # error[bad-matrix] and so on
+            raise InputError("bad-" + name.replace("_", "-"), f'"{name}" '
+                             "holds a boolean where a number is expected")
     try:
         matrix = LaurentMatrix.from_obj(nvars, obj["matrix"])
     except (KeyError, TypeError, ValueError) as exc:

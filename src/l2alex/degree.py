@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (ChiefPartTieError, InputError, QuadratureBudgetError,
+from .errors import (ChiefPartTieError, QuadratureBudgetError,
                      ZeroMatrixError, ZeroPolynomialError)
 from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, log_mahler_mv,
@@ -198,7 +198,7 @@ class ConvexityReport:
     """Midpoint-convexity and slope-range audit of V on a geometric grid."""
 
     grid: list
-    values: list
+    log_values: list
     violations: list = field(default_factory=list)
     slope_violations: list = field(default_factory=list)
     slope_min: float = 0.0
@@ -215,8 +215,8 @@ class ConvexityReport:
         return not self.violations and not self.slope_violations
 
 
-def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
-                    eval_tol: float = 1e-8) -> ConvexityReport:
+def convexity_check(v: DetFunction, grid,
+                    tol: float = 1e-6) -> ConvexityReport:
     """Check multiplicative convexity and the exponent bound on a grid.
 
     For every adjacent triple of the geometric grid, the midpoint must obey
@@ -225,9 +225,9 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
     must all fit in one window of width exp_bound + tol: the matrix
     exponent bound R caps deg_b, the total spread of slopes, not |slope|
     itself (V(t) = t from the 1x1 matrix [z] has constant slope 1 with
-    R = 0). A constantly-zero function passes trivially (flagged); a value
-    of any other function below the double range raises InputError
-    ("underflow") naming its t.
+    R = 0). Everything is read from log V, finite for every t > 0 also
+    where V leaves the double range. A constantly-zero function passes
+    trivially (flagged, its log values -inf).
     """
     grid = [float(t) for t in grid]
     if len(grid) < 3:
@@ -239,17 +239,13 @@ def convexity_check(v: DetFunction, grid, tol: float = 1e-6,
             raise ValueError("grid must be geometric (t_mid = sqrt(lo * hi))")
 
     if v.is_zero:
-        return ConvexityReport(grid, [0.0] * len(grid), zero_function=True)
+        return ConvexityReport(grid, [-math.inf] * len(grid),
+                               zero_function=True)
 
-    values = [v.eval(t, eval_tol) for t in grid]
-    for t, x in zip(grid, values):
-        if x == 0.0:
-            raise InputError("underflow", "the value at t=%.12g is below "
-                                          "the double range" % t)
-    logs = [math.log(x) for x in values]
+    logs = [v.log_eval(t) for t in grid]
     logt = [math.log(t) for t in grid]
 
-    report = ConvexityReport(grid, values, slope_bound=v.exp_bound)
+    report = ConvexityReport(grid, logs, slope_bound=v.exp_bound)
     for i in range(len(grid) - 2):
         excess = logs[i + 1] - 0.5 * (logs[i] + logs[i + 2])
         if excess > tol:

@@ -20,18 +20,18 @@ holds at the outermost level by negating the inner angles too; the inner
 integrals see coefficients folded with complex phases and stay on the full
 circle. M(0) is 0 by convention.
 
-Two variables: the slice log-measure has a corner at every outer angle
-where a slice root crosses the unit circle, the first coordinate of a
-toric point of p (Boyd & Rodriguez-Villegas, "Mahler's measure and the
-dilogarithm (I)", 2002). Those angles come from the unit-circle roots of a
-resultant (see ``_toric_angles``), and the outer integral starts from
-panels split there, so that its error estimate sees every corner. The
-search falls back to no breaks when the resultant vanishes identically (p
-and its conjugate reciprocal in the outer variable share a factor, such as
-a cyclotomic factor 1 + x in the outer variable alone), when its samples
-are not finite, or when the bidegree is so large that the search itself
-would grow too costly. With three or more variables no integral takes
-breaks.
+Over the last outer angle, the slice log-measure has a corner wherever a
+slice root crosses the unit circle: the first coordinate of a toric point
+of the two-variable polynomial left there (Boyd & Rodriguez-Villegas,
+"Mahler's measure and the dilogarithm (I)", 2002). Those angles are the
+unit-circle roots of a resultant (see ``_toric_angles``), and every
+integral over that angle (the outer one of two variables, each inner one
+of three or more) starts from panels split there, so that its error
+estimate sees every corner. The outer integrals of three or more
+variables take no breaks. The search falls back to none when the
+resultant vanishes identically (p and its conjugate reciprocal in the
+outer variable share a factor, such as 1 + x), when its samples are not
+finite, or when the bidegree would make the search too costly.
 The reported error is at least the quadrature's rounding floor.
 """
 
@@ -150,27 +150,20 @@ def log_scaled_mahler_from_roots(rd: RootData, log_c: float) -> float:
     return out
 
 
-def _project_support(p: LaurentPoly):
-    """Drop variables of zero exponent spread (they do not affect M)."""
+def _project_support(p: LaurentPoly) -> LaurentPoly:
+    """Drop variables of zero exponent spread: they do not affect M, and
+    every monomial has the same exponent there, so none merge."""
     live = [j for j in range(p.nvars) if p.spread(j) > 0]
     if len(live) == p.nvars:
-        return p, live
-    terms = {}
-    for exp, c in p.terms.items():
-        key = tuple(exp[j] for j in live)
-        terms[key] = terms.get(key, 0j) + c
-    return LaurentPoly(len(live), terms), live
-
-
-def mahler_mv(p: LaurentPoly, tol: float = 1e-8,
-              max_evals: int = DEFAULT_NODE_BUDGET) -> float:
-    """Mahler measure of a Laurent polynomial in any number of variables."""
-    return mahler_mv_report(p, tol, max_evals).measure
+        return p
+    return LaurentPoly(len(live), {tuple(exp[j] for j in live): c
+                                   for exp, c in p.terms.items()})
 
 
 def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
                      max_evals: int = DEFAULT_NODE_BUDGET) -> MahlerResult:
-    """Same as mahler_mv, also reporting the achieved quadrature tolerance.
+    """Mahler measure of a Laurent polynomial in any number of variables,
+    with its log and the achieved quadrature tolerance.
 
     A measure beyond the double range saturates to inf; its log_measure
     stays finite.
@@ -188,10 +181,7 @@ def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
 
 def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
     """(log M(p), achieved tolerance) for nonzero p."""
-    reduced, _ = _project_support(p)
-    if reduced.is_zero:
-        # total cancellation while merging collapsed variables
-        return -math.inf, 0.0
+    reduced = _project_support(p)
     if len(reduced.terms) == 1:
         c = next(iter(reduced.terms.values()))
         return math.log(abs(c)), 0.0
@@ -320,21 +310,21 @@ def _real_roots(half, noise, even):
     return np.angle(ws[np.abs(np.abs(ws) - 1.0) <= _TORIC_RADIUS])
 
 
-def _nested_log_mean(coefs, inner, outer_exps, tol, budget, outermost=True):
+def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
     """Mean over the outer torus of the slice log-measures.
 
     The innermost (Jensen) variable is already separated out; outer angles
     are peeled one dimension at a time. Only the final dimension is batched
-    through the kernel; higher dimensions recurse. Real coefficients make
-    the integrand even in the first outer angle (see the module docstring).
-    With one outer angle, the outermost integral starts from panels split
-    at the toric angles.
+    through the kernel, from panels split at its toric angles; higher
+    dimensions recurse on the coefficients folded at each node. Real
+    coefficients make the integrand even in the first outer angle (see the
+    module docstring).
     """
     dims = outer_exps.shape[1]
     even = not coefs.imag.any()
     if dims == 1:
         col = np.ascontiguousarray(outer_exps[:, 0])
-        breaks = _toric_angles(coefs, inner, col) if outermost else ()
+        breaks = _toric_angles(coefs, inner, col)
 
         def f(thetas):
             phases = thetas[:, None] * col[None, :]
@@ -360,8 +350,7 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget, outermost=True):
         for i, th in enumerate(thetas):
             folded = coefs * np.exp(1j * th * first)
             val, ach = _nested_log_mean(folded, inner, rest,
-                                        level_tol * (dims - 1), budget,
-                                        outermost=False)
+                                        level_tol * (dims - 1), budget)
             achieved_inner = max(achieved_inner, ach)
             out[i] = val
         return out

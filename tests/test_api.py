@@ -28,21 +28,30 @@ def _defined_names(node):
     return set()
 
 
+def _code(tree):
+    """The module's source without comments and docstrings."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                node.body = body[1:] or [ast.Pass()]
+    return ast.unparse(tree)
+
+
 def _texts_outside_definition(name):
-    """The library modules with the name's own definition blanked out,
-    the benchmark's modules and the README."""
+    """The code of the library modules with the name's own definition
+    removed, the code of the benchmark's modules and the README."""
     for path in sorted((ROOT / "src" / "l2alex").glob("*.py")):
         if path.name == "__init__.py":   # imports and __all__ are no use
             continue
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if name in _defined_names(node):
-                lines[node.lineno - 1:node.end_lineno] = \
-                    [""] * (node.end_lineno - node.lineno + 1)
-        yield "\n".join(lines)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree.body = [node for node in tree.body
+                     if name not in _defined_names(node)]
+        yield _code(tree)
     for path in sorted((ROOT / "l2bench").glob("*.py")):
-        yield path.read_text(encoding="utf-8")
+        yield _code(ast.parse(path.read_text(encoding="utf-8")))
     yield (ROOT / "README.md").read_text(encoding="utf-8")
 
 

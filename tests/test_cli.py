@@ -505,6 +505,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error[{kind}]:")
 
+    @pytest.mark.parametrize("doc, kind", [
+        (entry_doc('{"exp":[true],"re":1}'), "bad-matrix"),
+        (entry_doc('{"exp":[0],"re":true}'), "bad-matrix"),
+        (quadratic_doc('{"sigma":[true]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[1],"r":[true],"phi":[[1]]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[1],"r":[1],"phi":[[true]]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[1]},"pairs":[[true,false]]'), "bad-pairs"),
+        (quadratic_doc('{"sigma":[1]},"index_divisor":true'),
+         "bad-index-divisor")],
+        ids=["exp", "re", "sigma", "r", "phi", "pairs", "index_divisor"])
+    def test_boolean_for_a_number_refused(self, tmp_path, capsys, doc, kind):
+        # Python reads a JSON true or false as the number 1 or 0
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[{kind}]:") and "boolean" in err
+
     @pytest.mark.parametrize("doc", [
         quadratic_doc('{"sigma":[1e308]}'),
         json.dumps({"variables": ["x", "y"],
@@ -525,24 +543,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("sigma", ["1e308", "1e200"])
     def test_convexity_beyond_double_range_refused(self, tmp_path, capsys,
                                                    sigma):
-        # V(2) overflows, so the largest log-log slope is inf
+        # V(2) overflows at both; the slopes are read from log V, and only
+        # at 1e308 does the largest log-log slope leave the double range
         path = tmp_path / "doc.json"
         path.write_text(quadratic_doc('{"sigma":[%s]}' % sigma))
         code, out, err = run_cli(["convexity", "--input", str(path),
                                   "--grid", "0.5:2:3"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error[overflow]:") and "slope_max" in err
+        if sigma == "1e200":
+            assert (code, err) == (0, "")
+            assert out == (
+                '{"passed":true,"zero_function":false,'
+                '"slope_min":1.38848382726,"slope_max":2e+200,'
+                '"slope_range":2e+200,"slope_bound":2e+200,'
+                '"violations":[],"slope_violations":[]}\n')
+        else:
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error[overflow]:") and "slope_max" in err
 
     def test_convexity_underflow_refused(self, tmp_path, capsys):
-        # V(0.01) = 1e-800 for z^400 at sigma = [1]
+        # V(0.01) = 1e-800 for z^400 at sigma = [1], below the double
+        # range, yet its log is finite and so are the slopes
         path = tmp_path / "z400.json"
         path.write_text(scaled_doc({(400,): 1}, 1))
         code, out, err = run_cli(["convexity", "--input", str(path),
                                   "--grid", "0.01:1:3"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error[underflow]:") and "t=0.01" in err
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "passed": True, "zero_function": False, "slope_min": 400,
+            "slope_max": 400, "slope_range": 0, "slope_bound": 0,
+            "violations": [], "slope_violations": []}
 
     def test_complex_determinant_degree(self, tmp_path, capsys):
         # a complex 5x5 determinant: deg_b at sigma = [1] is its spread

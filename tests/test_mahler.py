@@ -9,7 +9,7 @@ import pytest
 
 from l2alex import (CohomClass, DetFunction, IllConditionedError,
                     LaurentPoly, QuadratureBudgetError, ZeroPolynomialError,
-                    mahler_mv, mahler_mv_report, roots, twist)
+                    mahler_mv_report, roots, twist)
 from l2alex import kernels as kernel_mod
 from l2alex import mahler as mahler_mod
 from l2alex.mahler import log_mahler_mv
@@ -25,6 +25,10 @@ GOLDEN_MINUS = 0.3819660112501051  # (3 - sqrt 5) / 2
 # Smyth: m(1 + x + y + z) = 7 zeta(3) / (2 pi^2)
 SMYTH_3V = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
 SMYTH_3V_LOG = 7 * 1.2020569031595942 / (2 * math.pi ** 2)
+# its images under monomial substitutions of determinant 3 and -6, which
+# keep the measure: 1 + x z^2 + y + x^-1 z and 1 + x^2 y + x y^-1 z + y^3
+SMYTH_3V_DET3 = {(0, 0, 0): 1, (1, 0, 2): 1, (0, 1, 0): 1, (-1, 0, 1): 1}
+SMYTH_3V_DET6 = {(0, 0, 0): 1, (2, 1, 0): 1, (1, -1, 1): 1, (0, 3, 0): 1}
 
 LEHMER = LaurentPoly(1, {(10,): 1, (9,): 1, (7,): -1, (6,): -1, (5,): -1,
                          (4,): -1, (3,): -1, (1,): 1, (0,): 1})
@@ -121,7 +125,7 @@ class TestRoots:
             coeffs[0] = coeffs[0] or 1
             coeffs[-1] = coeffs[-1] or -1
             p = P(1, {(k,): c for k, c in enumerate(coeffs) if c})
-            got = math.log(mahler_mv(p))
+            got = math.log(mahler_mv_report(p).measure)
             with mpmath.workdps(30):
                 rts = mpmath.polyroots(coeffs[::-1], maxsteps=200,
                                        extraprec=100)
@@ -133,25 +137,27 @@ class TestRoots:
 
 class TestMahler1v:
     def test_quadratic(self):
-        assert mahler_mv(quadratic()) == pytest.approx(GOLDEN_PLUS, abs=1e-10)
+        assert mahler_mv_report(quadratic()).measure == \
+            pytest.approx(GOLDEN_PLUS, abs=1e-10)
 
     def test_monomial(self):
-        assert mahler_mv(P(1, {(100,): 1})) == 1.0
+        assert mahler_mv_report(P(1, {(100,): 1})).measure == 1.0
 
     def test_lehmer(self):
-        assert mahler_mv(LEHMER) == pytest.approx(1.176280818, abs=1e-8)
+        assert mahler_mv_report(LEHMER).measure == \
+            pytest.approx(1.176280818, abs=1e-8)
 
     def test_lehmer_against_quadrature_oracle(self):
-        assert mahler_mv(LEHMER) == \
+        assert mahler_mv_report(LEHMER).measure == \
             pytest.approx(quad_mahler_1v(LEHMER, 1e-9), rel=2e-8)
 
     def test_zero(self):
-        assert mahler_mv(LaurentPoly.zero(1)) == 0.0
+        assert mahler_mv_report(LaurentPoly.zero(1)).measure == 0.0
 
     def test_quadrature_agreement_random(self, rng):
         for _ in range(12):
             p = random_int_poly(rng, 1, max_terms=5, max_exp=3, nonzero=True)
-            m = mahler_mv(p)
+            m = mahler_mv_report(p).measure
             assert abs(m - quad_mahler_1v(p, 1e-8)) / m < 1e-6
 
 
@@ -179,7 +185,7 @@ class TestScaledMahler:
 
     def test_matches_unit_scale(self):
         assert scaled(quadratic(), 1.0) == \
-            pytest.approx(mahler_mv(quadratic()), rel=1e-12)
+            pytest.approx(mahler_mv_report(quadratic()).measure, rel=1e-12)
 
     def test_small_scale_limit_is_root_product(self):
         # product of the roots = constant coefficient
@@ -191,11 +197,12 @@ class TestScaledMahler:
             c = rng.uniform(0.2, 4.0)
             subst = LaurentPoly(1, {e: v * c ** e[0]
                                     for e, v in p.terms.items()})
-            assert scaled(p, c) == pytest.approx(mahler_mv(subst), rel=1e-10)
+            assert scaled(p, c) == \
+                pytest.approx(mahler_mv_report(subst).measure, rel=1e-10)
 
     def test_beyond_double_range_saturates(self):
         huge = P(1, {(0,): 1.5e308, (1,): 1.5e308, (2,): -1.5e308})
-        assert mahler_mv(huge) == math.inf
+        assert mahler_mv_report(huge).measure == math.inf
         assert scaled(quadratic(), 1e300) == math.inf
         # the monomial factor z^2 raises c^2 beyond the double range
         shifted = P(1, {(4,): 1, (3,): -3, (2,): 1})
@@ -262,22 +269,24 @@ class TestMonomialProfile:
 class TestMahlerMV:
     def test_smyth_constant(self):
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-        assert mahler_mv(p, 1e-8) == pytest.approx(1.3813564445, rel=1e-6)
+        assert mahler_mv_report(p, 1e-8).measure == \
+            pytest.approx(1.3813564445, rel=1e-6)
 
     def test_against_trapezoid_oracle(self):
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-        assert mahler_mv(p, 1e-8) == \
+        assert mahler_mv_report(p, 1e-8).measure == \
             pytest.approx(trapezoid_mahler_2v(p, 1024), rel=3e-6)
 
     def test_monomial(self):
-        assert mahler_mv(P(2, {(1, 1): 1}), 1e-8) == 1.0
+        assert mahler_mv_report(P(2, {(1, 1): 1}), 1e-8).measure == 1.0
 
     def test_product_polynomial(self):
         p = P(2, {(1, 1): 1, (1, 0): -3, (0, 1): -2, (0, 0): 6})
-        assert mahler_mv(p, 1e-8) == pytest.approx(6.0, rel=1e-8)
+        assert mahler_mv_report(p, 1e-8).measure == \
+            pytest.approx(6.0, rel=1e-8)
 
     def test_zero(self):
-        assert mahler_mv(LaurentPoly.zero(2), 1e-8) == 0.0
+        assert mahler_mv_report(LaurentPoly.zero(2), 1e-8).measure == 0.0
 
     def test_delegates_to_jensen_for_1v(self):
         rep = mahler_mv_report(quadratic(), 1e-8)
@@ -288,15 +297,17 @@ class TestMahlerMV:
     def test_circle_root_is_integrable(self):
         # (z1 - 1)(z2 - 3): the slice vanishes at theta = 0 in the limit
         p = P(2, {(1, 1): 1, (1, 0): -3, (0, 1): -1, (0, 0): 3})
-        assert mahler_mv(p, 1e-7) == pytest.approx(3.0, rel=1e-6)
+        assert mahler_mv_report(p, 1e-7).measure == \
+            pytest.approx(3.0, rel=1e-6)
 
     def test_multiplicativity(self, rng):
         tol = 1e-7
         for _ in range(6):
             a = random_int_poly(rng, 2, max_terms=3, max_exp=1, nonzero=True)
             b = random_int_poly(rng, 2, max_terms=3, max_exp=1, nonzero=True)
-            ma, mb = mahler_mv(a, tol), mahler_mv(b, tol)
-            mab = mahler_mv(a * b, tol)
+            ma = mahler_mv_report(a, tol).measure
+            mb = mahler_mv_report(b, tol).measure
+            mab = mahler_mv_report(a * b, tol).measure
             assert abs(mab - ma * mb) <= 3 * tol * max(1.0, ma * mb) + 1e-12
 
     def test_monomial_invariance(self, rng):
@@ -305,8 +316,8 @@ class TestMahlerMV:
             p = random_int_poly(rng, 2, nonzero=True)
             shifted = LaurentPoly(2, {(e[0] + 2, e[1] - 1): c
                                       for e, c in p.terms.items()})
-            assert mahler_mv(shifted, tol) == \
-                pytest.approx(mahler_mv(p, tol), rel=3 * tol + 1e-10)
+            assert mahler_mv_report(shifted, tol).measure == pytest.approx(
+                mahler_mv_report(p, tol).measure, rel=3 * tol + 1e-10)
 
     def test_inversion_invariance(self, rng):
         tol = 1e-8
@@ -314,18 +325,19 @@ class TestMahlerMV:
             p = random_int_poly(rng, 2, nonzero=True)
             inv = LaurentPoly(2, {(-e[0], -e[1]): c
                                   for e, c in p.terms.items()})
-            assert mahler_mv(inv, tol) == \
-                pytest.approx(mahler_mv(p, tol), rel=3 * tol + 1e-10)
+            assert mahler_mv_report(inv, tol).measure == pytest.approx(
+                mahler_mv_report(p, tol).measure, rel=3 * tol + 1e-10)
 
     def test_integer_measure_at_least_one(self, rng):
         for _ in range(15):
             p = random_int_poly(rng, 2, nonzero=True)
-            assert mahler_mv(p, 1e-8) >= 1.0 - 1e-8
+            assert mahler_mv_report(p, 1e-8).measure >= 1.0 - 1e-8
 
     def test_three_variables(self):
         p = P(3, {(1, 1, 1): 1, (1, 1, 0): -3, (0, 0, 1): -2, (0, 0, 0): 6})
         # (z1 z2 - 2)(z3 - 3): measure 2 * 3
-        assert mahler_mv(p, 1e-5) == pytest.approx(6.0, rel=1e-4)
+        assert mahler_mv_report(p, 1e-5).measure == \
+            pytest.approx(6.0, rel=1e-4)
 
     def test_report_carries_achieved_tol(self):
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
@@ -338,7 +350,7 @@ class TestMahlerMV:
         # at x = -1 keeps the refinement going past 600 nodes at 1e-13
         p = P(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 3): 1, (1, 3): 1})
         with pytest.raises(QuadratureBudgetError) as info:
-            mahler_mv(p, 1e-13, max_evals=600)
+            mahler_mv_report(p, 1e-13, max_evals=600)
         assert info.value.best_estimate == pytest.approx(1.38135644, rel=1e-3)
         assert info.value.achieved_tol > 0
 
@@ -370,12 +382,22 @@ class TestMahlerMV:
         assert abs(rep.log_measure - SMYTH_3V_LOG) <= rep.achieved_tol
         assert rep.achieved_tol <= 1e-8
 
+    @pytest.mark.parametrize("terms, tol", [
+        (SMYTH_3V, 1e-10), (SMYTH_3V_DET3, 1e-8), (SMYTH_3V_DET6, 1e-8)],
+        ids=["tol1e-10", "det3", "det-6"])
+    def test_smyth_three_variables_with_inner_breaks(self, terms, tol):
+        # each inner integral starts from its toric breaks; without them
+        # the first case takes 5.5M nodes, over the default budget
+        rep = mahler_mv_report(P(3, terms), tol)
+        assert abs(rep.log_measure - SMYTH_3V_LOG) <= rep.achieved_tol
+        assert rep.achieved_tol <= tol
+
     def test_nested_budget_error_reports_overall_estimate(self):
         # nan until the outermost integral completes its first sweep
         finite = 0
-        for max_evals in (1000, 10_003, 30_001, 70_001):
+        for max_evals in (1000, 10_001, 20_001, 60_001):
             with pytest.raises(QuadratureBudgetError) as info:
-                mahler_mv(P(3, SMYTH_3V), max_evals=max_evals)
+                mahler_mv_report(P(3, SMYTH_3V_DET6), max_evals=max_evals)
             best = info.value.best_estimate
             if not math.isnan(best):
                 finite += 1
@@ -395,7 +417,7 @@ class TestMahlerMV:
         monkeypatch.setattr(kernel_mod, "batch_log_mahler", fake_kernel)
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         with pytest.raises(DegenerateSliceError):
-            mahler_mv(p, 1e-6)
+            mahler_mv_report(p, 1e-6)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_refused(self, tol):
