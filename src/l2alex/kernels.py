@@ -14,13 +14,13 @@ iteration cap fall back to companion-matrix eigenvalues.
 
 Warm starts: the rows of a batch come in groups of PANEL_NODES (15)
 consecutive nodes, one group per Gauss-Kronrod panel of the quadrature, in
-ascending order. The first row of each group in a degree block, the
-panel's leftmost node, starts from points on a circle; the others start
-from its roots, which lie close to theirs, since the nodes are neighbours
-and no root crosses |z| = 1 inside a panel that lies between toric points.
-A row's roots therefore depend on its group, and agree with those of the
-row alone to the iteration's accuracy rather than bitwise; a given batch
-always gives bit-identical results.
+ascending order. One batched ``companion_roots`` call gives the roots of
+each group's middle row in a degree block, and every row of the block
+starts from its group's, in a single lockstep pass: the nodes of a panel
+are neighbours, and no root crosses |z| = 1 inside a panel that lies
+between toric points. A row's roots therefore depend on its group, and
+agree with those of the row alone to the iteration's accuracy rather than
+bitwise; a given batch always gives bit-identical results.
 
 The slice construction, the grouping by degree and the companion roots are
 shared with ``mahler``'s root finding and breakpoint search: a single
@@ -35,7 +35,6 @@ KERNEL_BACKEND = "python"
 
 _ABERTH_CAP = 60          # iterations before a row falls back to eigenvalues
 _ABERTH_RTOL = 1e-14      # a root stops once its correction is this relative
-_START_ANGLE = 0.4        # turns the cold starts off conjugate symmetry
 _UNIT_ROUNDOFF = 2.0 ** -53   # of float64
 
 
@@ -118,28 +117,23 @@ def _block_log_mahler(block, d, rows):
         return np.log(np.abs(block[:, 0]))
     if d == 1:
         return np.log(np.maximum(np.abs(block[:, 1]), np.abs(block[:, 0])))
-    # the first row of each group of PANEL_NODES batch rows starts cold, the
-    # others from its roots
+    # every row of a group of PANEL_NODES batch rows starts from the
+    # eigenvalues of the group's middle row
     group = rows // PANEL_NODES
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = group[1:] != group[:-1]
-    leader = np.flatnonzero(first)[np.cumsum(first) - 1]
-    rts = np.empty((block.shape[0], d), dtype=np.complex128)
-    rts[first] = _aberth_roots(block[first])
-    if not first.all():
-        rts[~first] = _aberth_roots(block[~first], rts[leader[~first]])
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    counts = np.diff(starts, append=len(rows))
+    seeds = companion_roots(block[starts + counts // 2])
+    rts = _aberth_roots(block, np.repeat(seeds, counts, axis=0))
     out = np.log(np.abs(block[:, -1]))
     out += np.sum(np.maximum(0.0, np.log(np.abs(rts))), axis=1)
     return out
 
 
-def _aberth_roots(block, start=None):
+def _aberth_roots(block, start):
     """(k, d) roots of k degree-d polynomials (rows of ascending
     coefficients, d >= 1, nonzero first and last ones) by a lockstep
-    Aberth-Ehrlich iteration.
+    Aberth-Ehrlich iteration from the (k, d) starting points ``start``.
 
-    start holds (k, d) distinct starting points; by default they lie on the
-    circle of radius |c_0/c_d|^(1/d), the geometric mean of the root moduli.
     Each step evaluates p and p' at every root of every running row in one
     batched product of the powers z^0..z^d with the coefficients, and moves
     z by p / (p' - p S), S the sum of 1/(z - z_j) over the row's other
@@ -159,12 +153,7 @@ def _aberth_roots(block, start=None):
     coef[0, :, :, 0] = block.T
     coef[1, :-1, :, 0] = (block[:, 1:] * np.arange(1, d + 1)).T
     mag = np.abs(block)
-    if start is None:
-        radius = (mag[:, 0] / mag[:, -1]) ** (1.0 / d)
-        angles = 2.0 * np.pi * np.arange(d) / d + _START_ANGLE
-        z = radius[:, None] * np.exp(1j * angles)[None, :]
-    else:
-        z = np.array(start, dtype=np.complex128)
+    z = np.array(start, dtype=np.complex128)
     bound = ((4 * d + 1) * _UNIT_ROUNDOFF * mag.T)[:, :, None]
     powers = np.empty((d + 1, k, d), dtype=np.complex128)
     powers[0] = 1.0

@@ -9,10 +9,22 @@ determinant functions exactly computable (``DetFunction`` evaluates it).
 Both are summed in log space and a measure beyond the double range
 saturates to inf (``saturating_exp``).
 
-Several variables reduce to nested one-variable problems: the variable of
-largest exponent spread is integrated exactly by Jensen on each slice (this
-absorbs the log singularities of log|p| on its zero set), and the remaining
-angles are integrated by adaptive Gauss-Kronrod panels (see ``quadrature``).
+A term a z^u that outweighs all the others together, |a| > sum |b|, at
+the least or greatest exponent of some variable z_j, puts the measure on a
+face: by Rouché's theorem every root in z_j stays on one side of the unit
+circle, and Jensen's formula gives M(p) = M(q), q the terms of p with
+exponent u_j in z_j (see ``_dominant_face``). q has one variable fewer and
+the same dominant term, so the reduction repeats down to Jensen, a single
+term, or a face whose dominant term is interior in every variable; the
+reported error is the last face's, 0 unless it takes a quadrature. Such
+terms appear toward both ends of a t-grid, where V(t) is asymptotically
+monomial.
+
+Other polynomials of several variables reduce to nested one-variable
+problems: the variable of largest exponent spread is integrated exactly by
+Jensen on each slice (this absorbs the log singularities of log|p| on its
+zero set), and the remaining angles are integrated by adaptive
+Gauss-Kronrod panels (see ``quadrature``).
 When every coefficient is real, p(conj z) = conj p(z), so the slice
 log-measure at outer angle -theta equals the one at theta and the outermost
 angle is integrated over half the circle. With three or more variables this
@@ -53,6 +65,7 @@ _TORIC_RADIUS = 1e-6     # a resultant root this near the circle is on it
 _TORIC_SNR = 1e6         # resultant samples must exceed their rounding by this
 _TORIC_MAX_ROOTS = 64    # largest resultant root-finder (see _toric_angles)
 _RECONSTRUCTION_RTOL = 1e-9
+_DOMINANCE_RTOL = 1e-14  # covers the rounding of the dominance test's sum
 
 
 @dataclass(frozen=True)
@@ -160,6 +173,37 @@ def _project_support(p: LaurentPoly) -> LaurentPoly:
                                    for exp, c in p.terms.items()})
 
 
+def _dominant_face(p: LaurentPoly):
+    """The face of p that carries its Mahler measure, with one variable
+    fewer, or None.
+
+    Suppose one term a z^u outweighs all the others together, |a| > sum |b|,
+    and u_j is the least exponent of some variable z_j. On the torus, the
+    coefficient of z_j^(u_j) in p then exceeds, in modulus, the rest of p
+    as a polynomial in z_j, so by Rouché's theorem no root in z_j lies in
+    the unit disc, and Jensen's formula gives M(p) = M(q) for q the terms
+    of p with exponent u_j in z_j. At the greatest exponent every root
+    lies inside, with the same conclusion. The test runs on magnitudes
+    divided by the largest one, so that no sum leaves the double range,
+    and asks for a margin of _DOMINANCE_RTOL over the rounding of the sum.
+    """
+    mags = [abs(c) for c in p.terms.values()]
+    top = max(mags)
+    k = mags.index(top)
+    rest = math.fsum(m / top for i, m in enumerate(mags) if i != k)
+    if not rest * (1.0 + _DOMINANCE_RTOL) < 1.0:
+        return None
+    exps = list(p.terms)
+    u = exps[k]
+    for j in range(p.nvars):
+        column = [e[j] for e in exps]
+        if u[j] in (min(column), max(column)):
+            return LaurentPoly(p.nvars - 1,
+                               {e[:j] + e[j + 1:]: c
+                                for e, c in p.terms.items() if e[j] == u[j]})
+    return None
+
+
 def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
                      max_evals: int = DEFAULT_NODE_BUDGET) -> MahlerResult:
     """Mahler measure of a Laurent polynomial in any number of variables,
@@ -180,13 +224,23 @@ def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
 
 
 def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
-    """(log M(p), achieved tolerance) for nonzero p."""
+    """(log M(p), achieved tolerance) for nonzero p.
+
+    One term and one variable are exact, with achieved tolerance 0. A
+    polynomial with a dominant term at an extreme exponent takes the value
+    and the achieved tolerance of its face (``_dominant_face``): 0 when
+    the faces end at one variable or one term, which run no toric search
+    and no quadrature.
+    """
     reduced = _project_support(p)
     if len(reduced.terms) == 1:
         c = next(iter(reduced.terms.values()))
         return math.log(abs(c)), 0.0
     if reduced.nvars == 1:
         return log_scaled_mahler_from_roots(roots(reduced), 0.0), 0.0
+    face = _dominant_face(reduced)
+    if face is not None:
+        return log_mahler_mv(face, tol, budget)
 
     exps = np.array(sorted(reduced.terms), dtype=np.int64)
     coefs = np.array([reduced.terms[tuple(e)] for e in exps],

@@ -282,6 +282,16 @@ class TestCommands:
         assert obj["measure"] == pytest.approx(1.3813564445, rel=1e-6)
         assert obj["achieved_tol"] <= 1e-8
 
+    def test_mahler_dominant_term_is_exact(self, tmp_path, capsys):
+        # 3 > 1 + 1 in 3 + x + y: M = 3 from the face 3 + y, by Jensen
+        path = tmp_path / "dominant.json"
+        path.write_text(SMYTH_DOC.replace('"re": 1, "im": 0}, {"exp": [1',
+                                          '"re": 3, "im": 0}, {"exp": [1'))
+        code, out, _ = run_cli(["mahler", "--input", str(path)], capsys)
+        assert code == 0
+        assert out == '{"measure":3,"log_measure":1.09861228867,' \
+                      '"achieved_tol":0}\n'
+
     def test_eval_csv(self, quadratic_file, capsys):
         code, out, _ = run_cli(
             ["eval", "--input", quadratic_file, "--t-grid", "0.5:2:5"],

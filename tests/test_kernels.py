@@ -6,7 +6,7 @@ import pytest
 
 from l2alex import kernels
 from l2alex.kernels import (KERNEL_BACKEND, batch_log_mahler,
-                            companion_roots, slice_coefficients)
+                            slice_coefficients)
 from l2alex.quadrature import PANEL_NODES
 
 
@@ -105,8 +105,28 @@ def _dense_batch(rng, d, nodes):
     return coefs, inner, phases
 
 
-def _no_companion(*args):
-    raise AssertionError("a row reached the Aberth iteration cap")
+def _cap_fallbacks(monkeypatch):
+    """Rows of each ``companion_roots`` call made from inside
+    ``_aberth_roots``, its fallback for rows at the iteration cap; the
+    calls that seed the iteration are not counted."""
+    calls, inside = [], []
+    aberth, companion = kernels._aberth_roots, kernels.companion_roots
+
+    def counting_aberth(block, start):
+        inside.append(True)
+        try:
+            return aberth(block, start)
+        finally:
+            inside.pop()
+
+    def counting_companion(block):
+        if inside:
+            calls.append(block.shape[0])
+        return companion(block)
+
+    monkeypatch.setattr(kernels, "_aberth_roots", counting_aberth)
+    monkeypatch.setattr(kernels, "companion_roots", counting_companion)
+    return calls
 
 
 class TestAberth:
@@ -123,23 +143,25 @@ class TestAberth:
 
     def test_root_on_circle_without_cap(self, monkeypatch):
         # (z - 1)(z - 2)(z - 1/2)(z + 3i): log M = log 2 + log 3
-        monkeypatch.setattr(kernels, "companion_roots", _no_companion)
+        cap_fallbacks = _cap_fallbacks(monkeypatch)
         c = np.polynomial.polynomial.polyfromroots([1.0, 2.0, 0.5, -3j])
         logm, _ = batch_log_mahler(c.astype(np.complex128),
                                    np.arange(5, dtype=np.int64),
                                    np.zeros((1, 5)), 1e-13)
+        assert not cap_fallbacks, "a row reached the Aberth iteration cap"
         assert logm[0] == pytest.approx(math.log(6.0), abs=1e-13)
 
     def test_double_root_without_cap(self, monkeypatch):
         # slices in x of (1-x)^2 (1+y+xy) at y = e^{i theta}: a double
         # root at x = 1 and log M = log max(1, |1 + y|)
-        monkeypatch.setattr(kernels, "companion_roots", _no_companion)
+        cap_fallbacks = _cap_fallbacks(monkeypatch)
         coefs = np.array([1, 1, -2, -1, 1, -1, 1], dtype=np.complex128)
         inner = np.array([0, 0, 1, 1, 2, 2, 3], dtype=np.int64)
         outer = np.array([0, 1, 0, 1, 0, 1, 1])
         theta = np.linspace(0.05, 3.0, 3 * PANEL_NODES)
         logm, _ = batch_log_mahler(coefs, inner, theta[:, None] * outer,
                                    1e-13)
+        assert not cap_fallbacks, "a row reached the Aberth iteration cap"
         exact = np.maximum(0.0, np.log(np.abs(1.0 + np.exp(1j * theta))))
         # a double root is only attainable to about sqrt(u)
         np.testing.assert_allclose(logm, exact, rtol=0, atol=1e-7)
@@ -148,16 +170,22 @@ class TestAberth:
         rng = np.random.default_rng(7)
         coefs, inner, phases = _dense_batch(rng, 9, 3 * PANEL_NODES)
         aberth, _ = batch_log_mahler(coefs, inner, phases, 1e-13)
-        capped_rows = []
-
-        def companion(block):
-            capped_rows.append(block.shape[0])
-            return companion_roots(block)
-
-        monkeypatch.setattr(kernels, "_ABERTH_CAP", 1)
-        monkeypatch.setattr(kernels, "companion_roots", companion)
+        capped_rows = _cap_fallbacks(monkeypatch)
+        monkeypatch.setattr(kernels, "_ABERTH_CAP", 0)
         capped, _ = batch_log_mahler(coefs, inner, phases, 1e-13)
         assert sum(capped_rows) == phases.shape[0]
+        np.testing.assert_allclose(capped, aberth, rtol=0, atol=1e-12)
+
+    def test_rows_stopped_before_the_cap_keep_their_roots(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        coefs, inner, phases = _dense_batch(rng, 9, 3 * PANEL_NODES)
+        aberth, _ = batch_log_mahler(coefs, inner, phases, 1e-13)
+        capped_rows = _cap_fallbacks(monkeypatch)
+        monkeypatch.setattr(kernels, "_ABERTH_CAP", 1)
+        capped, _ = batch_log_mahler(coefs, inner, phases, 1e-13)
+        # the three panels' middle rows start from their own eigenvalues
+        # and stop after one step; every other row reaches the cap
+        assert sum(capped_rows) == phases.shape[0] - 3
         np.testing.assert_allclose(capped, aberth, rtol=0, atol=1e-12)
 
     def test_batch_rows_match_single_rows(self):

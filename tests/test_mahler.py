@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import warnings
@@ -443,6 +444,129 @@ class TestMahlerMV:
         assert rep.measure == math.inf
         assert rep.log_measure == pytest.approx(math.log(1.5e308) + log_m,
                                                 rel=1e-12)
+
+
+def _dominant_poly(seed, nvars, where):
+    """Seven random complex terms in exponents 0..2 plus a term a z^u with
+    |a| = 1.25 sum |b| over the others. u_1 is 0 ("least"), 2 ("greatest")
+    or 1 ("interior"); every other u_j is 1, between exponents 0 and 2 of
+    other terms of the face u_1 (of p, for "interior"). So only the first
+    variable reduces, and only outside "interior"."""
+    rng = np.random.default_rng(seed)
+    first = {"least": 0, "greatest": 2, "interior": 1}[where]
+    u = (first,) + (1,) * (nvars - 1)
+    grid = [e for e in itertools.product(range(3), repeat=nvars) if e != u]
+    while True:
+        exps = [grid[i] for i in rng.choice(len(grid), 7, replace=False)]
+        face = exps if where == "interior" else \
+            [e for e in exps if e[0] == first]
+        columns = list(zip(*face)) or [()] * nvars
+        if all({0, 2} <= set(c) for c in columns[1:]) and \
+                (where != "interior" or {0, 2} <= set(columns[0])):
+            break
+    coefs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    a = 1.25 * np.abs(coefs).sum() * np.exp(2j * np.pi * rng.uniform())
+    terms = {e: complex(c) for e, c in zip(exps, coefs)}
+    terms[u] = complex(a)
+    return P(nvars, terms)
+
+
+def _measure_without_faces(monkeypatch, p, tol):
+    with monkeypatch.context() as m:
+        m.setattr(mahler_mod, "_dominant_face", lambda q: None)
+        return log_mahler_mv(p, tol, NodeBudget(10 ** 8))
+
+
+def _counting_quadrature(monkeypatch):
+    calls = []
+
+    def counting(f, tol, budget, even=False, breaks=()):
+        calls.append(tol)
+        return adaptive_circle_mean(f, tol, budget, even=even, breaks=breaks)
+
+    monkeypatch.setattr(mahler_mod, "adaptive_circle_mean", counting)
+    return calls
+
+
+class TestDominantFace:
+    """A term that outweighs all the others together, at an extreme
+    exponent of some variable, puts M(p) on the face of that exponent
+    (Rouché and Jensen); the reduced value must agree with the quadrature
+    of the whole polynomial."""
+
+    def test_corner_free_three_variables_reduce_to_one_term(self):
+        # 5 > 1 + 1 + 1 at the least exponent of x, then of y
+        p = P(3, {(0, 0, 0): 5, (3, 1, 0): 1, (0, 4, 2): 1, (1, 0, 5): 1})
+        rep = mahler_mv_report(p, max_evals=1)
+        assert rep.log_measure == math.log(5)
+        assert rep.achieved_tol == 0.0
+
+    @pytest.mark.parametrize("where", ["least", "greatest"])
+    def test_two_variables_reduce_to_jensen(self, monkeypatch, where):
+        for seed in range(4):
+            p = _dominant_poly(seed, 2, where)
+            reference, ref_tol = _measure_without_faces(monkeypatch, p, 1e-12)
+            quadratures = _counting_quadrature(monkeypatch)
+            rep = mahler_mv_report(p)
+            assert not quadratures
+            assert rep.achieved_tol == 0.0
+            assert abs(rep.log_measure - reference) <= ref_tol
+
+    @pytest.mark.parametrize("where", ["least", "greatest"])
+    def test_three_variables_reduce_to_a_face(self, monkeypatch, where):
+        # the dominant term is interior in y and z, so the two-variable
+        # face takes a quadrature, whose tolerance is reported
+        for seed in range(3):
+            p = _dominant_poly(seed, 3, where)
+            face = mahler_mod._dominant_face(p)
+            assert face.nvars == 2 and len(face.terms) > 1
+            face_rep = mahler_mv_report(face, 1e-10)
+            reference, ref_tol = _measure_without_faces(monkeypatch, p, 1e-10)
+            rep = mahler_mv_report(p, 1e-10)
+            assert (rep.log_measure, rep.achieved_tol) == \
+                (face_rep.log_measure, face_rep.achieved_tol)
+            assert rep.achieved_tol > 0.0
+            assert abs(rep.log_measure - reference) <= \
+                rep.achieved_tol + ref_tol
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_interior_term_takes_quadrature(self, monkeypatch, nvars):
+        for seed in range(3):
+            p = _dominant_poly(seed, nvars, "interior")
+            assert mahler_mod._dominant_face(p) is None
+            reference = _measure_without_faces(monkeypatch, p, 1e-8)
+            quadratures = _counting_quadrature(monkeypatch)
+            assert log_mahler_mv(p, 1e-8, NodeBudget(10 ** 8)) == reference
+            assert quadratures
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_ties(self, monkeypatch, seed):
+        # |a| = (|b| + |c|)(1 -+ 1e-9) for a + b x + c y: just below the
+        # tie p vanishes on the torus and takes quadrature, just above it
+        # reduces; both lie within 1e-8 of the tie's log|a|
+        rng = np.random.default_rng(seed)
+        b, c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        tie = abs(b) + abs(c)
+        for rel, reduced in ((-1e-9, False), (1e-9, True)):
+            p = P(2, {(0, 0): tie * (1 + rel), (1, 0): b, (0, 1): c})
+            assert (mahler_mod._dominant_face(p) is not None) == reduced
+            quadratures = _counting_quadrature(monkeypatch)
+            rep = mahler_mv_report(p)
+            assert bool(quadratures) != reduced
+            assert abs(rep.log_measure - math.log(tie)) <= \
+                rep.achieved_tol + 1e-8
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_coefficients_near_the_double_limit(self, nvars):
+        # 1.5e308 > 1e308 + 2e307 (+ 2e307), and M = 1.5e308; the
+        # magnitudes themselves sum beyond the double range
+        terms = {(0,) * nvars: 1.5e308, (1,) + (0,) * (nvars - 1): 1e308}
+        for j in range(1, nvars):
+            terms[tuple(int(k == j) for k in range(nvars))] = 2e307
+        rep = mahler_mv_report(P(nvars, terms), max_evals=1)
+        assert rep.log_measure == pytest.approx(math.log(1.5e308),
+                                                rel=1e-15)
+        assert rep.achieved_tol == 0.0
 
 
 # Determinants of two l2bench curves2v inputs (seed 1), hard-coded. The
