@@ -7,16 +7,21 @@ order, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie,
 degeneracy or ill-conditioning error. Errors print one line
-"error[kind]: message" to stderr. A --tol that is not a positive finite
-number is refused as error[bad-tol], and a --max-evals below 1 as
-error[bad-budget], before any work. An input too ill-conditioned for
-double precision (IllConditionedError: a root factorization that fails
-its reconstruction check, or a determinant coefficient beyond the double
-range) answers error[ill-conditioned], exit 3.
-A matrix entry with a non-integer exponent, a non-finite coefficient, or
-a coefficient too small beside the entry's largest one to be kept in
-double precision is refused at parse time as error[bad-matrix], naming
-the entry and the exponent. A class with a non-finite sigma or r entry,
+"error[kind]: message" to stderr. A malformed command line (an unknown
+command or scenario, a missing option, or an option value of the wrong
+type) answers error[usage], exit 1; -h prints the help and exits 0. A
+--tol that is not a positive finite number is refused as error[bad-tol],
+and a --max-evals below 1 as error[bad-budget], before any work. An input
+too ill-conditioned for double precision (IllConditionedError: a root
+factorization that fails its reconstruction check, a determinant
+coefficient beyond the double range, or a polynomial whose exponent
+spread in one variable exceeds the largest degree that root finding
+takes) answers error[ill-conditioned], exit 3.
+A matrix entry with a non-integer exponent, a non-finite coefficient
+(such as a JSON integer beyond the double range), or a coefficient too
+small beside the entry's largest one to be kept in double precision is
+refused at parse time as error[bad-matrix], naming the entry and the
+exponent. A class with a non-finite sigma or r entry,
 or an r and phi that do not reproduce sigma, answers error[bad-class]; a
 pair with a non-finite value answers error[bad-pairs]. A JSON true or
 false where a number is expected is refused under the same kinds (and
@@ -41,7 +46,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from .degree import det_function, convexity_check
 from .errors import (ChiefPartTieError, DegenerateSliceError,
@@ -62,15 +66,6 @@ _EXIT_BUDGET = 2
 _EXIT_DEGENERATE = 3
 
 
-@dataclass
-class InputDocument:
-    variables: list
-    matrix: LaurentMatrix
-    cohom: CohomClass
-    pairs: tuple
-    index_divisor: int
-
-
 def _has_boolean(value) -> bool:
     """A JSON true or false anywhere in value (Python reads it as 1 or 0)."""
     if isinstance(value, dict):
@@ -79,7 +74,7 @@ def _has_boolean(value) -> bool:
         isinstance(value, list) and any(map(_has_boolean, value)))
 
 
-def parse_input(text: str) -> InputDocument:
+def parse_input(text: str) -> TorsionSpec:
     """Parse and validate a JSON input document before any computation."""
     try:
         obj = json.loads(text)
@@ -92,7 +87,7 @@ def parse_input(text: str) -> InputDocument:
     variables = obj.get("variables")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise InputError("bad-variables", '"variables" must be a list of names')
-    nvars = len(variables)
+    nvars = len(variables)   # the names themselves are not kept
 
     if "matrix" not in obj or "class" not in obj:
         raise InputError("missing-field", 'both "matrix" and "class" are required')
@@ -122,20 +117,18 @@ def parse_input(text: str) -> InputDocument:
     pairs = obj.get("pairs", [])
     if not isinstance(pairs, list):
         raise InputError("bad-pairs", '"pairs" must be a list of [a, b] pairs')
-    done = []
     for item in pairs:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not all(isinstance(x, (int, float)) for x in item)):
             raise InputError("bad-pairs", f"pair {item!r} is not [a, b]")
         if not all(abs(x) <= sys.float_info.max for x in item):
             raise InputError("bad-pairs", f"pair {item!r} is not finite")
-        done.append((float(item[0]), float(item[1])))
 
     index = obj.get("index_divisor", 1)
     if not isinstance(index, int) or index < 1:
         raise InputError("bad-index-divisor",
                          f"index_divisor must be a positive integer, got {index!r}")
-    return InputDocument(variables, matrix, cohom, tuple(done), index)
+    return TorsionSpec(matrix, cohom, pairs, index)
 
 
 def render_json(obj, key: str = "") -> str:
@@ -175,7 +168,7 @@ def _parse_grid(spec: str):
         raise InputError("bad-grid", f'grid "{spec}": {exc}')
 
 
-def _read_input(path: str) -> InputDocument:
+def _read_input(path: str) -> TorsionSpec:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -201,8 +194,8 @@ def _write_csv(out, grid, values, zero_function):
 
 
 def _cmd_mahler(args, out):
-    doc = _read_input(args.input)
-    poly = doc.matrix.determinant()
+    spec = _read_input(args.input)
+    poly = spec.matrix.determinant()
     if poly.is_zero:
         raise ZeroPolynomialError(
             "the determinant is constantly zero; its measure 0 has no log")
@@ -213,25 +206,25 @@ def _cmd_mahler(args, out):
 
 
 def _cmd_eval(args, out):
-    doc = _read_input(args.input)
+    spec = _read_input(args.input)
     grid = _parse_grid(args.t_grid)
-    fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
+    fn = det_function(spec.matrix, spec.cohom, index_divisor=spec.index_divisor)
     _write_csv(out, grid, [fn.eval(t, args.tol) for t in grid], fn.is_zero)
 
 
 def _cmd_degree(args, out):
-    doc = _read_input(args.input)
-    fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
+    spec = _read_input(args.input)
+    fn = det_function(spec.matrix, spec.cohom, index_divisor=spec.index_divisor)
     out.write(render_json(fn.asymptote(args.tol).to_obj()) + "\n")
 
 
 def _cmd_convexity(args, out):
-    doc = _read_input(args.input)
+    spec = _read_input(args.input)
     grid = _parse_grid(args.grid)
     if len(grid) < 3:
         raise InputError("bad-grid",
                          f'grid "{args.grid}" needs at least 3 points')
-    fn = det_function(doc.matrix, doc.cohom, index_divisor=doc.index_divisor)
+    fn = det_function(spec.matrix, spec.cohom, index_divisor=spec.index_divisor)
     report = convexity_check(fn, grid, tol=args.tol)
     obj = {
         "passed": report.passed,
@@ -251,9 +244,8 @@ def _cmd_convexity(args, out):
 
 
 def _cmd_torsion(args, out):
-    doc = _read_input(args.input)
+    spec = _read_input(args.input)
     grid = _parse_grid(args.t_grid)
-    spec = TorsionSpec(doc.matrix, doc.cohom, doc.pairs, doc.index_divisor)
     tau = torsion_from_presentation(spec)
     _write_csv(out, grid, [tau.value(t, args.tol) for t in grid],
                tau.zero_function)
@@ -268,8 +260,6 @@ def _scenario_row(phi) -> dict:
 
 
 def _cmd_scenario(args, out):
-    if args.name != "section9":
-        raise InputError("unknown-scenario", f"unknown scenario {args.name!r}")
     if args.phi is None and args.sweep is None:
         raise InputError("missing-field", "need --phi a,b,c and/or --sweep n")
 
@@ -306,8 +296,16 @@ def _cmd_scenario(args, out):
     out.write(render_json(payload) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line as InputError("usage"), one line,
+    where argparse would print its usage block; -h still exits 0."""
+
+    def error(self, message):
+        raise InputError("usage", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="l2alex",
         description="Determinant functions, Mahler measures, and "
                     "L2-Alexander torsion of 3-manifold presentations")
@@ -371,9 +369,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_bind_negative_values(argv))
-    except SystemExit as exc:
-        return _EXIT_INPUT if exc.code not in (0, None) else _EXIT_OK
-    try:
         tol = getattr(args, "tol", 1.0)
         if not (math.isfinite(tol) and tol > 0):
             raise InputError("bad-tol", f"--tol must be a positive finite "
@@ -382,6 +377,8 @@ def main(argv=None) -> int:
             raise InputError("bad-budget", f"--max-evals must be a positive "
                                            f"integer, got {args.max_evals}")
         args.run(args, sys.stdout)
+        return _EXIT_OK
+    except SystemExit:   # -h printed the help (_Parser.error raises)
         return _EXIT_OK
     except InputError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)

@@ -18,9 +18,7 @@ Conventions:
     refuses input that would lose a coefficient this way;
   * every coefficient is finite: construction raises IllConditionedError
     for inf or nan, such as a product or scalar multiple that left the
-    double range;
-  * the involution maps sum a_v z^v to sum conj(a_v) z^{-v}; the matrix
-    adjoint is the transpose with entrywise involution.
+    double range.
 
 Determinants of integer-certified matrices are exact (Kronecker
 substitution; von zur Gathen & Gerhard, Modern Computer Algebra):
@@ -192,12 +190,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def involution(self) -> "LaurentPoly":
-        """a = sum a_v z^v  ->  a* = sum conj(a_v) z^{-v}."""
-        return LaurentPoly(
-            self.nvars,
-            {tuple(-e for e in exp): c.conjugate() for exp, c in self.terms.items()})
-
     # -- parsing -----------------------------------------------------------
 
     @classmethod
@@ -215,8 +207,11 @@ class LaurentPoly:
                                               and e.is_integer()) for e in raw):
                 raise ValueError(f"exponent {raw} is not a list of integers")
             exp = tuple(int(e) for e in raw)
-            terms[exp] = terms.get(exp, 0j) + complex(float(item["re"]),
-                                                      float(item.get("im", 0.0)))
+            try:
+                c = complex(float(item["re"]), float(item.get("im", 0.0)))
+            except OverflowError:   # a JSON integer beyond the double range
+                c = complex(math.inf)
+            terms[exp] = terms.get(exp, 0j) + c
         for exp, c in terms.items():
             if not cmath.isfinite(c):
                 raise ValueError(
@@ -277,13 +272,6 @@ class LaurentMatrix:
         return LaurentMatrix(
             [[_dot(self.nvars, row, col)
               for col in zip(*other.rows)] for row in self.rows],
-            nvars=self.nvars)
-
-    def adjoint(self) -> "LaurentMatrix":
-        """Transpose with entrywise involution: (A*)_{ij} = (A_{ji})*."""
-        n = self.size
-        return LaurentMatrix(
-            [[self.rows[j][i].involution() for j in range(n)] for i in range(n)],
             nvars=self.nvars)
 
     def support_union(self) -> set[tuple]:

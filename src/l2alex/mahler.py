@@ -66,6 +66,11 @@ _TORIC_SNR = 1e6         # resultant samples must exceed their rounding by this
 _TORIC_MAX_ROOTS = 64    # largest resultant root-finder (see _toric_angles)
 _RECONSTRUCTION_RTOL = 1e-9
 _DOMINANCE_RTOL = 1e-14  # covers the rounding of the dominance test's sum
+# Largest exponent spread that root finding takes, checked before any array
+# is built: a degree-d companion matrix holds d^2 complex numbers (16 MiB at
+# 1024, whose eigenvalues take seconds), and the slice kernel rows * d^2.
+# Tier-1 reaches degree 40 and the l2bench workloads 24.
+_MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,13 @@ def _reconstruction_error(lead, rts, coeffs):
                      / np.max(np.abs(direct)))
 
 
+def _check_degree(spread: int):
+    if spread > _MAX_DEGREE:
+        raise IllConditionedError(
+            f"an exponent spread of {spread} exceeds {_MAX_DEGREE}, the "
+            "largest degree that root finding takes")
+
+
 def _univariate_coeffs(q: LaurentPoly):
     """(n, ascending coefficient array) with c[0] != 0, or None if q = 0."""
     if q.nvars != 1:
@@ -114,6 +126,7 @@ def _univariate_coeffs(q: LaurentPoly):
         return None
     exps = sorted(e[0] for e in q.terms)
     n, top = exps[0], exps[-1]
+    _check_degree(top - n)
     coeffs = np.zeros(top - n + 1, dtype=np.complex128)
     for (e,), c in q.terms.items():
         coeffs[e - n] = c
@@ -129,7 +142,8 @@ def roots(q: LaurentPoly) -> RootData:
     "Polynomial roots from companion matrix eigenvalues", 1995). That is
     checked once, by reconstructing the polynomial from its factorization
     (1e-9 relative); IllConditionedError if the mismatch is larger or not
-    finite.
+    finite, and before any array is built if the degree exceeds
+    _MAX_DEGREE.
     """
     parsed = _univariate_coeffs(q)
     if parsed is None:
@@ -230,7 +244,8 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
     polynomial with a dominant term at an extreme exponent takes the value
     and the achieved tolerance of its face (``_dominant_face``): 0 when
     the faces end at one variable or one term, which run no toric search
-    and no quadrature.
+    and no quadrature. IllConditionedError, before any array is built, if
+    the largest exponent spread left exceeds _MAX_DEGREE.
     """
     reduced = _project_support(p)
     if len(reduced.terms) == 1:
@@ -242,12 +257,13 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
     if face is not None:
         return log_mahler_mv(face, tol, budget)
 
+    spreads = [reduced.spread(j) for j in range(reduced.nvars)]
+    _check_degree(max(spreads))
     exps = np.array(sorted(reduced.terms), dtype=np.int64)
     coefs = np.array([reduced.terms[tuple(e)] for e in exps],
                      dtype=np.complex128)
     scale = float(np.max(np.abs(coefs)))
     coefs = coefs / scale
-    spreads = exps.max(axis=0) - exps.min(axis=0)
     inner_var = int(np.argmax(spreads))
     inner = exps[:, inner_var] - exps[:, inner_var].min()
     outer_vars = [j for j in range(reduced.nvars) if j != inner_var]

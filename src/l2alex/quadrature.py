@@ -104,10 +104,10 @@ def _gk_batch(f, lefts, widths):
 
     One batched call to f evaluates all panels' nodes at once, the
     PANEL_NODES nodes of panel i in ascending order at rows PANEL_NODES*i
-    onwards; per-panel sums run in node order. The slice kernel warm-starts
-    each such group of rows from its first row, so the same nodes batched
-    in other groups agree to the kernel's rounding, not bitwise. A given
-    batch always gives bit-identical results.
+    onwards; per-panel sums run in node order. The slice kernel starts
+    every row of such a group from the roots of the group's middle row, so
+    the same nodes batched in other groups agree to the kernel's rounding,
+    not bitwise. A given batch always gives bit-identical results.
     """
     half = 0.5 * widths
     nodes = lefts[:, None] + half[:, None] * (_NODES[None, :] + 1.0)

@@ -173,21 +173,12 @@ class FiberedTorsion(TorsionFunction):
         return AsymptoteReport(self.norm, 0.0, 1.0, 1.0, "closed-form")
 
 
-class GraphTorsion(TorsionFunction):
-    """Zero simplicial volume: max(1, t)^x on all of (0, inf)."""
+class GraphTorsion(FiberedTorsion):
+    """Zero simplicial volume: max(1, t)^x on all of (0, inf), the fibered
+    form with entropy 0 and volume 0."""
 
     def __init__(self, norm: float):
-        if norm < 0:
-            raise ValueError("norm must be nonnegative")
-        self.norm = float(norm)
-
-    def value(self, t: float, tol: float = 1e-8):
-        if t <= 0:
-            raise ValueError("t must be positive")
-        return _saturating_pow(max(1.0, t), self.norm)
-
-    def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:
-        return AsymptoteReport(self.norm, 0.0, 1.0, 1.0, "closed-form")
+        super().__init__(0.0, norm, 0.0)
 
 
 class ConstantTorsion(TorsionFunction):

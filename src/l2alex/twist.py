@@ -3,8 +3,8 @@
 A real class is the covector sigma with sigma_j = phi(z_j). The twist at
 parameter t > 0 rescales the monomial a * z^v to a * t^<sigma, v> * z^v; it
 is a ring homomorphism in the matrix algebra and anti-commutes with the
-adjoint: twisting at t then taking the involution equals taking the
-involution and twisting at 1/t.
+involution sum a_v z^v -> sum conj(a_v) z^{-v}: twisting at t then taking
+the involution equals taking the involution and twisting at 1/t.
 
 A class may carry an exact decomposition sigma = sum_i r_i * Phi_i with
 positive reals r_1..r_d (the user asserts their Q-linear independence) and

@@ -4,6 +4,8 @@ paper's claims.
 The oracles deliberately avoid the library's own evaluation paths: the
 torus-mean oracles sample log|p| directly (no root finding, no Jensen
 reduction), and the determinant oracle is a plain cofactor recursion. The
+involution and the matrix adjoint, which the library does not need, live
+here for the identities that tests check with them. The
 Fox-calculus helpers build presentation matrices from group words, so that
 knot groups reach the library the way the paper's inputs do.
 
@@ -143,6 +145,18 @@ def cofactor_determinant(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def involution(p: LaurentPoly) -> LaurentPoly:
+    """sum a_v z^v -> sum conj(a_v) z^{-v}."""
+    return LaurentPoly(p.nvars, {tuple(-e for e in exp): c.conjugate()
+                                 for exp, c in p.terms.items()})
+
+
+def adjoint(a: LaurentMatrix) -> LaurentMatrix:
+    """Transpose with entrywise involution: (A*)_{ij} = (A_{ji})*."""
+    return LaurentMatrix([[involution(p) for p in col] for col in zip(*a.rows)],
+                         nvars=a.nvars)
 
 
 # -- Fox calculus ------------------------------------------------------------

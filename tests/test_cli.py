@@ -170,7 +170,11 @@ class TestParsing:
         assert info.value.kind == "bad-pairs"
 
     @pytest.mark.parametrize("value", ['"inf"', '"-inf"', '"nan"', "1e400",
-                                       "NaN", "Infinity", '1,"im":"nan"'])
+                                       "NaN", "Infinity", '1,"im":"nan"',
+                                       pytest.param(str(10 ** 400),
+                                                    id="re-10^400"),
+                                       pytest.param('1,"im":-%d' % 10 ** 400,
+                                                    id="im-10^400")])
     def test_non_finite_coefficient_refused(self, value):
         with pytest.raises(InputError) as info:
             parse_input(entry_doc('{"exp":[0],"re":1},{"exp":[2],"re":%s}'
@@ -201,7 +205,7 @@ class TestParsing:
             ' "class": {"sigma": [0.1, %s]},'
             ' "pairs": [[0.1, %s]], "index_divisor": 2}'
             % (sqrt2, sqrt2, sqrt2))
-        assert doc.variables == ["u", "v"]
+        assert doc.matrix.nvars == 2
         assert doc.matrix == LaurentMatrix(
             [[LaurentPoly(2, {(1, 0): complex(0.1, math.sqrt(2))})]])
         assert doc.cohom == CohomClass([0.1, math.sqrt(2)])
@@ -377,6 +381,26 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error[bad-tol]:")
+
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--input", "x.json", "--tol", "abc"],
+        ["eval", "--input", "x.json"],
+        ["foo"],
+        ["scenario", "foo"],
+        ["scenario", "section9", "--sweep", "x"],
+    ], ids=["tol-abc", "no-t-grid", "unknown-command", "unknown-scenario",
+            "sweep-x"])
+    def test_argument_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[usage]: ")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run_cli(["mahler", "-h"], capsys)
+        assert code == 0
+        assert out.startswith("usage: l2alex mahler") and err == ""
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_bad_budget_refused(self, smyth_file, capsys, budget):
@@ -616,6 +640,37 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error[ill-conditioned]:")
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1, (10 ** 30,): 1},
+        {(0, 0): 1, (10 ** 30, 0): 1, (0, 1): 1},
+    ], ids=["1+z^1e30", "1+x^1e30+y"])
+    @pytest.mark.parametrize("command", [
+        ["mahler"], ["eval", "--t-grid", "0.5:2:3"],
+        ["convexity", "--grid", "0.5:2:3"],
+        ["torsion", "--t-grid", "0.5:2:3"]])
+    def test_exponent_spread_beyond_the_arrays_ill_conditioned(
+            self, tmp_path, capsys, terms, command):
+        path = tmp_path / "spread.json"
+        path.write_text(scaled_doc(terms, 1))
+        code, out, err = run_cli(command + ["--input", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error[ill-conditioned]:")
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1, (10 ** 30,): 1},
+        {(0, 0): 1, (10 ** 30, 0): 1, (0, 1): 1},
+    ], ids=["1+z^1e30", "1+x^1e30+y"])
+    def test_exponent_spread_beyond_the_arrays_has_a_degree(
+            self, tmp_path, capsys, terms):
+        path = tmp_path / "spread.json"
+        path.write_text(scaled_doc(terms, 1))
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["d_plus"] == 1e30
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

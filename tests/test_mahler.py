@@ -340,6 +340,15 @@ class TestMahlerMV:
         assert mahler_mv_report(p, 1e-5).measure == \
             pytest.approx(6.0, rel=1e-4)
 
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1, (10 ** 30,): 1},
+        {(0, 0): 1, (10 ** 30, 0): 1, (0, 1): 1},
+    ], ids=["1+z^1e30", "1+x^1e30+y"])
+    def test_exponent_spread_beyond_the_arrays_refused(self, terms):
+        p = P(len(next(iter(terms))), terms)
+        with pytest.raises(IllConditionedError, match="exceeds 1024"):
+            mahler_mv_report(p)
+
     def test_report_carries_achieved_tol(self):
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         rep = mahler_mv_report(p, 1e-6)

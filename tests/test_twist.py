@@ -9,6 +9,7 @@ from l2alex import (CohomClass, DetFunction, LaurentMatrix, LaurentPoly,
                     ZeroMatrixError, exponent_bound, twist)
 
 from conftest import random_int_matrix, random_int_poly
+from oracles import involution
 
 
 def P(nvars, terms):
@@ -133,8 +134,8 @@ class TestTwistPoly:
                 for _ in range(5):
                     p = random_int_poly(rng, 2)
                     q, lhs_scale = twist(p, c, t)
-                    lhs = q.involution()
-                    rhs, rhs_scale = twist(p.involution(), c, 1.0 / t)
+                    lhs = involution(q)
+                    rhs, rhs_scale = twist(involution(p), c, 1.0 / t)
                     assert set(lhs.terms) == set(rhs.terms)
                     for e, v in lhs.terms.items():
                         assert rhs.terms[e] == pytest.approx(v, rel=1e-13)
