@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Input is a single JSON document (exponent-vector form, no expression
-parser); outputs are JSON objects/arrays or CSV with header "t,value". All
-floats are rendered with a fixed %.12g format and reductions run in a fixed
-order, so identical invocations produce byte-identical output.
+parser), which ``main`` reads and validates once for the five commands
+that take one; each command returns its text, JSON objects/arrays or CSV
+with header "t,value", and ``main`` writes it. All floats are rendered
+with a fixed %.12g format and reductions run in a fixed order, so
+identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie,
 degeneracy or ill-conditioning error. Errors print one line
@@ -18,10 +20,11 @@ coefficient beyond the double range, or a polynomial whose exponent
 spread in one variable exceeds the largest degree that root finding
 takes) answers error[ill-conditioned], exit 3.
 A matrix entry with a non-integer exponent, a non-finite coefficient
-(such as a JSON integer beyond the double range), or a coefficient too
-small beside the entry's largest one to be kept in double precision is
-refused at parse time as error[bad-matrix], naming the entry and the
-exponent. A class with a non-finite sigma or r entry,
+(such as a JSON integer beyond the double range, or a complex one whose
+modulus is beyond it), or a coefficient too small beside the entry's
+largest one to be kept in double precision is refused at parse time as
+error[bad-matrix], naming the entry and the exponent; exponents of any
+size are accepted. A class with a non-finite sigma or r entry,
 or an r and phi that do not reproduce sigma, answers error[bad-class]; a
 pair with a non-finite value answers error[bad-pairs]. A JSON true or
 false where a number is expected is refused under the same kinds (and
@@ -50,8 +53,7 @@ import sys
 from .degree import det_function, convexity_check
 from .errors import (ChiefPartTieError, DegenerateSliceError,
                      IllConditionedError, InputError, L2AlexError,
-                     QuadratureBudgetError, ZeroMatrixError,
-                     ZeroPolynomialError)
+                     QuadratureBudgetError, ZeroPolynomialError)
 from .laurent import LaurentMatrix
 from .mahler import mahler_mv_report
 from .quadrature import DEFAULT_NODE_BUDGET, geometric_grid
@@ -152,20 +154,22 @@ def render_json(obj, key: str = "") -> str:
             raise InputError("overflow",
                              f"{key} is {obj}, beyond the double range")
         return "%.12g" % obj
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
+    return json.dumps(obj)   # a str, or None as null
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str, min_points: int = 1):
     parts = spec.split(":")
     if len(parts) != 3:
         raise InputError("bad-grid", f'grid "{spec}" is not of the form lo:hi:n')
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        return geometric_grid(lo, hi, n)
+        grid = geometric_grid(lo, hi, n)
     except ValueError as exc:
         raise InputError("bad-grid", f'grid "{spec}": {exc}')
+    if len(grid) < min_points:
+        raise InputError("bad-grid",
+                         f'grid "{spec}" needs at least {min_points} points')
+    return grid
 
 
 def _read_input(path: str) -> TorsionSpec:
@@ -180,7 +184,7 @@ def _read_input(path: str) -> TorsionSpec:
     return parse_input(text)
 
 
-def _write_csv(out, grid, values, zero_function):
+def _csv(grid, values, zero_function) -> str:
     for t, v in zip(grid, values):
         if not math.isfinite(v):
             raise InputError("overflow",
@@ -188,67 +192,59 @@ def _write_csv(out, grid, values, zero_function):
         if v == 0 and not zero_function:
             raise InputError("underflow",
                              "the value at t=%.12g is below the double range" % t)
-    out.write("t,value\n")
-    for t, v in zip(grid, values):
-        out.write("%.12g,%.12g\n" % (t, v))
+    return "\n".join(["t,value"] + ["%.12g,%.12g" % tv
+                                    for tv in zip(grid, values)])
 
 
-def _cmd_mahler(args, out):
-    spec = _read_input(args.input)
+def _det(spec: TorsionSpec):
+    return det_function(spec.matrix, spec.cohom, spec.index_divisor)
+
+
+def _cmd_mahler(spec, args) -> str:
+    """Mahler measure of the determinant polynomial"""
     poly = spec.matrix.determinant()
     if poly.is_zero:
         raise ZeroPolynomialError(
             "the determinant is constantly zero; its measure 0 has no log")
     result = mahler_mv_report(poly, tol=args.tol, max_evals=args.max_evals)
-    out.write(render_json({"measure": result.measure,
-                           "log_measure": result.log_measure,
-                           "achieved_tol": result.achieved_tol}) + "\n")
+    return render_json({"measure": result.measure,
+                        "log_measure": result.log_measure,
+                        "achieved_tol": result.achieved_tol})
 
 
-def _cmd_eval(args, out):
-    spec = _read_input(args.input)
-    grid = _parse_grid(args.t_grid)
-    fn = det_function(spec.matrix, spec.cohom, index_divisor=spec.index_divisor)
-    _write_csv(out, grid, [fn.eval(t, args.tol) for t in grid], fn.is_zero)
-
-
-def _cmd_degree(args, out):
-    spec = _read_input(args.input)
-    fn = det_function(spec.matrix, spec.cohom, index_divisor=spec.index_divisor)
-    out.write(render_json(fn.asymptote(args.tol).to_obj()) + "\n")
-
-
-def _cmd_convexity(args, out):
-    spec = _read_input(args.input)
+def _cmd_eval(spec, args) -> str:
+    """sample V(t) on a geometric grid (CSV)"""
     grid = _parse_grid(args.grid)
-    if len(grid) < 3:
-        raise InputError("bad-grid",
-                         f'grid "{args.grid}" needs at least 3 points')
-    fn = det_function(spec.matrix, spec.cohom, index_divisor=spec.index_divisor)
-    report = convexity_check(fn, grid, tol=args.tol)
-    obj = {
-        "passed": report.passed,
-        "zero_function": report.zero_function,
-        "slope_min": report.slope_min,
-        "slope_max": report.slope_max,
-        "slope_range": report.slope_range,
-        "slope_bound": report.slope_bound,
-        "violations": [
-            {"t_lo": a, "t_mid": m, "t_hi": b, "excess": e}
-            for a, m, b, e in report.violations],
-        "slope_violations": [
-            {"pair_min": list(pmin), "pair_max": list(pmax), "range": r}
-            for pmin, pmax, r in report.slope_violations],
-    }
-    out.write(render_json(obj) + "\n")
+    fn = _det(spec)
+    return _csv(grid, [fn.eval(t, args.tol) for t in grid], fn.is_zero)
 
 
-def _cmd_torsion(args, out):
-    spec = _read_input(args.input)
-    grid = _parse_grid(args.t_grid)
+def _cmd_degree(spec, args) -> str:
+    """asymptote report of V"""
+    return render_json(_det(spec).asymptote(args.tol).to_obj())
+
+
+def _cmd_convexity(spec, args) -> str:
+    """multiplicative convexity check on a grid"""
+    grid = _parse_grid(args.grid, min_points=3)
+    report = convexity_check(_det(spec), grid, tol=args.tol)
+    obj = {name: getattr(report, name) for name in (
+        "passed", "zero_function", "slope_min", "slope_max", "slope_range",
+        "slope_bound")}
+    obj["violations"] = [{"t_lo": a, "t_mid": m, "t_hi": b, "excess": e}
+                         for a, m, b, e in report.violations]
+    obj["slope_violations"] = [
+        {"pair_min": list(pmin), "pair_max": list(pmax), "range": r}
+        for pmin, pmax, r in report.slope_violations]
+    return render_json(obj)
+
+
+def _cmd_torsion(spec, args) -> str:
+    """sample the torsion function (CSV)"""
+    grid = _parse_grid(args.grid)
     tau = torsion_from_presentation(spec)
-    _write_csv(out, grid, [tau.value(t, args.tol) for t in grid],
-               tau.zero_function)
+    return _csv(grid, [tau.value(t, args.tol) for t in grid],
+                tau.zero_function)
 
 
 def _scenario_row(phi) -> dict:
@@ -259,7 +255,7 @@ def _scenario_row(phi) -> dict:
             "leading": data["leading"], "deg_b": report.deg_b}
 
 
-def _cmd_scenario(args, out):
+def _cmd_scenario(_, args) -> str:
     if args.phi is None and args.sweep is None:
         raise InputError("missing-field", "need --phi a,b,c and/or --sweep n")
 
@@ -293,7 +289,7 @@ def _cmd_scenario(args, out):
             rows.append(_scenario_row(phi))
 
     payload = rows[0] if (args.phi is not None and args.sweep is None) else rows
-    out.write(render_json(payload) + "\n")
+    return render_json(payload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,42 +300,32 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("usage", f"{self.prog}: {message}")
 
 
+# the commands that read a document: function (its docstring is the help)
+# and grid option
+_DOCUMENT_COMMANDS = {
+    "mahler": (_cmd_mahler, None), "eval": (_cmd_eval, "--t-grid"),
+    "degree": (_cmd_degree, None), "convexity": (_cmd_convexity, "--grid"),
+    "torsion": (_cmd_torsion, "--t-grid"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="l2alex",
         description="Determinant functions, Mahler measures, and "
                     "L2-Alexander torsion of 3-manifold presentations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mahler", help="Mahler measure of the determinant polynomial")
-    p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-evals", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="quadrature node budget before giving up")
-    p.set_defaults(run=_cmd_mahler)
-
-    p = sub.add_parser("eval", help="sample V(t) on a geometric grid (CSV)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t-grid", required=True, metavar="lo:hi:n")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(run=_cmd_eval)
-
-    p = sub.add_parser("degree", help="asymptote report of V")
-    p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(run=_cmd_degree)
-
-    p = sub.add_parser("convexity", help="multiplicative convexity check on a grid")
-    p.add_argument("--input", required=True)
-    p.add_argument("--grid", required=True, metavar="lo:hi:n")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(run=_cmd_convexity)
-
-    p = sub.add_parser("torsion", help="sample the torsion function (CSV)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t-grid", required=True, metavar="lo:hi:n")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(run=_cmd_torsion)
+    for name, (run, grid) in _DOCUMENT_COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__)
+        p.add_argument("--input", required=True)
+        if grid:
+            p.add_argument(grid, dest="grid", required=True, metavar="lo:hi:n")
+        p.add_argument("--tol", type=float, default=1e-8)
+        p.set_defaults(run=run)
+    sub.choices["convexity"].set_defaults(tol=1e-6)
+    sub.choices["mahler"].add_argument(
+        "--max-evals", type=int, default=DEFAULT_NODE_BUDGET,
+        help="quadrature node budget before giving up")
 
     p = sub.add_parser("scenario", help="closed-form landscape tables")
     p.add_argument("name", choices=["section9"])
@@ -365,10 +351,9 @@ def _bind_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_bind_negative_values(argv))
+        args = build_parser().parse_args(_bind_negative_values(argv))
         tol = getattr(args, "tol", 1.0)
         if not (math.isfinite(tol) and tol > 0):
             raise InputError("bad-tol", f"--tol must be a positive finite "
@@ -376,7 +361,9 @@ def main(argv=None) -> int:
         if getattr(args, "max_evals", 1) < 1:
             raise InputError("bad-budget", f"--max-evals must be a positive "
                                            f"integer, got {args.max_evals}")
-        args.run(args, sys.stdout)
+        # the five document commands read their document here, once
+        spec = _read_input(args.input) if "input" in args else None
+        print(args.run(spec, args))
         return _EXIT_OK
     except SystemExit:   # -h printed the help (_Parser.error raises)
         return _EXIT_OK
@@ -388,7 +375,7 @@ def main(argv=None) -> int:
               f"(best estimate {exc.best_estimate:.12g}, "
               f"achieved {exc.achieved_tol:.12g})", file=sys.stderr)
         return _EXIT_BUDGET
-    except (ChiefPartTieError, DegenerateSliceError, ZeroMatrixError,
+    except (ChiefPartTieError, DegenerateSliceError,
             ZeroPolynomialError) as exc:
         print(f"error[degeneracy]: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE

@@ -39,6 +39,10 @@ from .twist import CohomClass, dot, exponent_bound, twist
 # <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|, and <r, w> of
 # sum_i |r_i w_i|: two weights closer than this fraction of it are a tie
 _TIE_RTOL = 2.0 ** -40
+# log V(t) = d log t + log M(q) rounds at the size of d log t, to within a
+# few ulps; comparisons of log values leave this many ulps of the largest
+# one involved to rounding
+_ROUNDING_ULPS = 8
 _GRID_GEOMETRIC_RTOL = 1e-9
 
 
@@ -193,6 +197,10 @@ def chief_part(p: LaurentPoly, c: CohomClass):
     return tuple(faces)
 
 
+def _rounding(logs) -> float:
+    return _ROUNDING_ULPS * math.ulp(max(map(abs, logs)))
+
+
 @dataclass
 class ConvexityReport:
     """Midpoint-convexity and slope-range audit of V on a geometric grid."""
@@ -226,7 +234,10 @@ def convexity_check(v: DetFunction, grid,
     exponent bound R caps deg_b, the total spread of slopes, not |slope|
     itself (V(t) = t from the 1x1 matrix [z] has constant slope 1 with
     R = 0). Everything is read from log V, finite for every t > 0 also
-    where V leaves the double range. A constantly-zero function passes
+    where V leaves the double range. Both bounds also leave
+    _ROUNDING_ULPS ulps of the largest |log V| involved (divided by the
+    log t step for slopes) to rounding, which matters only where log V is
+    huge: at 1e19 log t an ulp is 1024. A constantly-zero function passes
     trivially (flagged, its log values -inf).
     """
     grid = [float(t) for t in grid]
@@ -248,7 +259,7 @@ def convexity_check(v: DetFunction, grid,
     report = ConvexityReport(grid, logs, slope_bound=v.exp_bound)
     for i in range(len(grid) - 2):
         excess = logs[i + 1] - 0.5 * (logs[i] + logs[i + 2])
-        if excess > tol:
+        if excess > tol + _rounding(logs[i:i + 3]):
             report.violations.append((grid[i], grid[i + 1], grid[i + 2], excess))
 
     lo_pair = hi_pair = None
@@ -262,8 +273,9 @@ def convexity_check(v: DetFunction, grid,
             slope_max, hi_pair = slope, (grid[i], grid[i + 1])
     report.slope_min = slope_min
     report.slope_max = slope_max
-    if (v.exp_bound is not None
-            and slope_max - slope_min > v.exp_bound + tol):
+    step = min(b - a for a, b in zip(logt, logt[1:]))
+    if (v.exp_bound is not None and slope_max - slope_min
+            > v.exp_bound + tol + _rounding(logs) / step):
         report.slope_violations.append(
             (lo_pair, hi_pair, slope_max - slope_min))
     return report

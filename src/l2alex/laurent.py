@@ -90,7 +90,10 @@ class LaurentPoly:
             if len(exp) != nvars:
                 raise VariableCountMismatch(
                     f"exponent vector {exp} has length {len(exp)}, expected {nvars}")
-            c = complex(c)
+            try:
+                c = complex(c)
+            except OverflowError:   # an int beyond the double range,
+                c = complex(math.inf)   # refused below as any inf is
             if c != 0:
                 clean[exp] = clean.get(exp, 0j) + c
 
@@ -98,11 +101,15 @@ class LaurentPoly:
         if derived:
             clean = {e: c for e, c in clean.items() if c != 0}
         else:
-            if not all(map(cmath.isfinite, clean.values())):
+            try:
+                scale = max(map(abs, clean.values()), default=0.0)
+            except OverflowError:   # finite parts, a modulus beyond them
+                scale = math.inf
+            if not (scale < math.inf
+                    and all(map(cmath.isfinite, clean.values()))):
                 raise IllConditionedError(
                     "a coefficient left the double range; the input is too "
                     "ill-conditioned for double precision")
-            scale = max(abs(c) for c in clean.values()) if clean else 0.0
             clean = {e: c for e, c in clean.items()
                      if abs(c) >= _FLOAT_PRUNE_REL * scale and c != 0}
             derived = all(_is_exact_int(c) for c in clean.values())
@@ -197,8 +204,9 @@ class LaurentPoly:
         """Parse a list of {"exp", "re", "im"} terms, kept exactly or refused.
 
         An exponent that is not an integer, a coefficient that is not
-        finite, or one that construction would prune as negligible beside
-        the largest, raises ValueError naming its exponent.
+        finite or whose modulus is not, or one that construction would
+        prune as negligible beside the largest, raises ValueError naming
+        its exponent.
         """
         terms = {}
         for item in obj:
@@ -213,7 +221,7 @@ class LaurentPoly:
                 c = complex(math.inf)
             terms[exp] = terms.get(exp, 0j) + c
         for exp, c in terms.items():
-            if not cmath.isfinite(c):
+            if not math.isfinite(math.hypot(c.real, c.imag)):   # abs(c) raises
                 raise ValueError(
                     f"the coefficient of exponent {list(exp)} is not finite")
         poly = cls(nvars, terms)

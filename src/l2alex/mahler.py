@@ -247,31 +247,34 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
     and no quadrature. IllConditionedError, before any array is built, if
     the largest exponent spread left exceeds _MAX_DEGREE.
     """
-    reduced = _project_support(p)
-    if len(reduced.terms) == 1:
-        c = next(iter(reduced.terms.values()))
-        return math.log(abs(c)), 0.0
-    if reduced.nvars == 1:
-        return log_scaled_mahler_from_roots(roots(reduced), 0.0), 0.0
-    face = _dominant_face(reduced)
-    if face is not None:
-        return log_mahler_mv(face, tol, budget)
+    face = p
+    while face is not None:
+        reduced = _project_support(face)
+        if len(reduced.terms) == 1:
+            c = next(iter(reduced.terms.values()))
+            return math.log(abs(c)), 0.0
+        if reduced.nvars == 1:
+            return log_scaled_mahler_from_roots(roots(reduced), 0.0), 0.0
+        face = _dominant_face(reduced)
 
     spreads = [reduced.spread(j) for j in range(reduced.nvars)]
     _check_degree(max(spreads))
-    exps = np.array(sorted(reduced.terms), dtype=np.int64)
-    coefs = np.array([reduced.terms[tuple(e)] for e in exps],
+    # each variable's exponents shifted to start at 0, in Python ints, so
+    # that any exponent fits the array once the spread has been checked
+    support = sorted(reduced.terms)
+    lows = [min(col) for col in zip(*support)]
+    exps = np.array([[x - lo for x, lo in zip(e, lows)] for e in support],
+                    dtype=np.int64)
+    coefs = np.array([reduced.terms[e] for e in support],
                      dtype=np.complex128)
     scale = float(np.max(np.abs(coefs)))
     coefs = coefs / scale
     inner_var = int(np.argmax(spreads))
-    inner = exps[:, inner_var] - exps[:, inner_var].min()
     outer_vars = [j for j in range(reduced.nvars) if j != inner_var]
 
     try:
         mean, achieved = _nested_log_mean(
-            coefs, inner, exps[:, outer_vars].astype(np.float64),
-            tol, budget)
+            coefs, exps[:, inner_var], exps[:, outer_vars], tol, budget)
     except QuadratureBudgetError as exc:
         raise QuadratureBudgetError(
             str(exc), saturating_exp(exc.best_estimate + math.log(scale)),
@@ -284,7 +287,7 @@ def _toric_angles(coefs, inner, outer):
 
     These are the first coordinates of the toric points (theta, phi), where
     p(e^{i theta}, e^{i phi}) = 0, and the slice log-measure has a corner
-    there. The outer variable x (exponents ``outer``, spread E) is
+    there. The outer variable x (exponents ``outer`` from 0 to E) is
     eliminated, because E is at most the Jensen variable's spread D: for
     w = e^{i phi}, p_phi(x) = p(x, w) has a root on |x| = 1 exactly when it
     shares one with its conjugate reciprocal x^E conj(p_phi(1 / conj x)).
@@ -315,8 +318,7 @@ def _toric_angles(coefs, inner, outer):
     are not finite. Angles are hints for panel edges: a missing one only
     leaves the corner to adaptive refinement.
     """
-    powers = (outer - outer.min()).astype(np.int64)
-    e = int(powers.max())
+    e = int(outer.max())
     k = int(inner.max()) * e
     even = not coefs.imag.any()
     if k == 0 or (k if even else 2 * k) > _TORIC_MAX_ROOTS:
@@ -325,7 +327,7 @@ def _toric_angles(coefs, inner, outer):
     grid = 2.0 * np.pi * np.arange(n) / n
     rows = np.repeat(np.arange(e), e + 1)
     cols = rows + np.tile(np.arange(e + 1), e)
-    b = kernels.slice_coefficients(coefs, powers, grid[:, None] * inner)
+    b = kernels.slice_coefficients(coefs, outer, grid[:, None] * inner)
     syl = np.zeros((n, 2 * e, 2 * e), dtype=np.complex128)
     syl[:, rows, cols] = np.tile(b[:, ::-1], e)
     syl[:, rows + e, cols] = np.tile(b.conj(), e)
@@ -341,7 +343,7 @@ def _toric_angles(coefs, inner, outer):
     phis = _real_roots(np.fft.rfft(samples.real) / n, noise, even)
 
     # roots of p_phi at those phis, stripped and grouped as in the kernel
-    rows = kernels.slice_coefficients(coefs, powers, phis[:, None] * inner)
+    rows = kernels.slice_coefficients(coefs, outer, phis[:, None] * inner)
     thetas = []
     for _, block, d in kernels.degree_blocks(rows, np.abs(rows) > _STRIP_REL):
         if d > 0:
@@ -383,12 +385,13 @@ def _real_roots(half, noise, even):
 def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
     """Mean over the outer torus of the slice log-measures.
 
-    The innermost (Jensen) variable is already separated out; outer angles
-    are peeled one dimension at a time. Only the final dimension is batched
-    through the kernel, from panels split at its toric angles; higher
-    dimensions recurse on the coefficients folded at each node. Real
-    coefficients make the integrand even in the first outer angle (see the
-    module docstring).
+    Exponents are integer arrays, each variable's starting at 0 (inner,
+    and the columns of outer_exps). The innermost (Jensen) variable is
+    already separated out; outer angles are peeled one dimension at a time.
+    Only the final dimension is batched through the kernel, from panels
+    split at its toric angles; higher dimensions recurse on the
+    coefficients folded at each node. Real coefficients make the integrand
+    even in the first outer angle (see the module docstring).
     """
     dims = outer_exps.shape[1]
     even = not coefs.imag.any()

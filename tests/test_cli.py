@@ -85,6 +85,17 @@ STEEP_DOCS = {
 }
 
 
+# y^N + x y^N + 3 y^(N+1) at N = 10^19, beyond int64: V(t) = t^N M(...),
+# so log V is about 1e19 log t, whose ulp is 1024 away from t = 1
+BIG_EXPONENT_DOC = json.dumps({
+    "variables": ["x", "y"],
+    "matrix": [[[{"exp": [0, 10 ** 19], "re": 1},
+                 {"exp": [1, 10 ** 19], "re": 1},
+                 {"exp": [0, 10 ** 19 + 1], "re": 3}]]],
+    "class": {"sigma": [1, 1]},
+})
+
+
 def scaled_doc(terms, scale):
     """A 1x1 document of scale * p, p given as {exponent tuple: coeff}."""
     nvars = len(next(iter(terms)))
@@ -174,7 +185,9 @@ class TestParsing:
                                        pytest.param(str(10 ** 400),
                                                     id="re-10^400"),
                                        pytest.param('1,"im":-%d' % 10 ** 400,
-                                                    id="im-10^400")])
+                                                    id="im-10^400"),
+                                       pytest.param('1.5e308,"im":1.5e308',
+                                                    id="modulus-1e308")])
     def test_non_finite_coefficient_refused(self, value):
         with pytest.raises(InputError) as info:
             parse_input(entry_doc('{"exp":[0],"re":1},{"exp":[2],"re":%s}'
@@ -671,6 +684,34 @@ class TestExitCodes:
         code, out, err = run_cli(["degree", "--input", str(path)], capsys)
         assert code == 0 and err == ""
         assert json.loads(out)["d_plus"] == 1e30
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["mahler"], 0,
+         '{"measure":3,"log_measure":1.09861228867,"achieved_tol":0}\n', ""),
+        (["eval", "--t-grid", "1:1:1"], 0, "t,value\n1,3\n", ""),
+        (["torsion", "--t-grid", "1:1:1"], 0, "t,value\n1,3\n", ""),
+        (["eval", "--t-grid", "0.5:2:3"], 1, "",
+         "error[underflow]: the value at t=0.5 is below the double range\n"),
+        (["torsion", "--t-grid", "0.5:2:3"], 1, "",
+         "error[underflow]: the value at t=0.5 is below the double range\n"),
+    ], ids=["mahler", "eval-1", "torsion-1", "eval", "torsion"])
+    def test_exponents_beyond_int64(self, tmp_path, capsys, argv, code, out,
+                                    err):
+        path = tmp_path / "big.json"
+        path.write_text(BIG_EXPONENT_DOC)
+        assert run_cli(argv + ["--input", str(path)], capsys) == \
+            (code, out, err)
+
+    @pytest.mark.parametrize("grid", ["0.5:2:3", "0.5:2:9", "1e-3:1e3:9"])
+    def test_convexity_beyond_int64_passes(self, tmp_path, capsys, grid):
+        # the midpoint excess log 3 at t = 1 is rounding of log V = +-7e18
+        path = tmp_path / "big.json"
+        path.write_text(BIG_EXPONENT_DOC)
+        code, out, err = run_cli(["convexity", "--input", str(path),
+                                  "--grid", grid], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["passed"] and report["violations"] == []
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

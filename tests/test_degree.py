@@ -355,6 +355,26 @@ class TestConvexityCheck:
         rep = convexity_check(Fake(), grid, tol=1e-9)
         assert not rep.passed and rep.violations
 
+    @pytest.mark.parametrize("shape, passed", [
+        (lambda s: math.log1p(math.exp(s)), True),   # t^N (1 + t)
+        (lambda s: -1e5 * abs(s), False),            # t^N min(t, 1/t)^1e5
+    ], ids=["convex", "concave"])
+    def test_huge_log_values_judged_beyond_rounding(self, shape, passed):
+        # log V(t) = 1e19 log t + shape(log t) rounds to 1024 at t = 2:
+        # the convex shape's O(1) is lost to rounding, the concave one's
+        # 7e4 is not
+        class Fake:
+            is_zero = False
+            exp_bound = 1.0
+
+            def log_eval(self, t, tol=1e-8):
+                return 1e19 * math.log(t) + shape(math.log(t))
+
+        for grid in ([0.5, 1.0, 2.0], geometric_grid(1e-3, 1e3, 9)):
+            rep = convexity_check(Fake(), grid)
+            assert rep.passed == passed
+            assert bool(rep.violations) == bool(rep.slope_violations) != passed
+
     def test_zero_function_flagged(self):
         v = DetFunction(LaurentPoly.zero(1), CohomClass([1.0]))
         rep = convexity_check(v, geometric_grid(0.1, 10, 5))

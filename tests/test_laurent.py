@@ -60,7 +60,10 @@ class TestPolyBasics:
         lambda: P(1, {(0,): math.nan, (1,): 1.5}),
         lambda: P(1, {(0,): 1.5, (1,): math.nan}),
         lambda: P(1, {(0,): 1e300, (1,): 1.5}) * 1e10,
-    ], ids=["nan-first", "nan-last", "scalar-overflow"])
+        lambda: P(1, {(0,): 10 ** 400}),
+        lambda: P(1, {(0,): 1.5e308 + 1.5e308j, (1,): 1.5}),
+    ], ids=["nan-first", "nan-last", "scalar-overflow", "int-10^400",
+            "modulus-overflow"])
     def test_non_finite_coefficient_refused(self, make):
         with pytest.raises(IllConditionedError):
             make()

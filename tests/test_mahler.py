@@ -349,6 +349,15 @@ class TestMahlerMV:
         with pytest.raises(IllConditionedError, match="exceeds 1024"):
             mahler_mv_report(p)
 
+    @pytest.mark.parametrize("offset", [10 ** 17, 2 ** 63, -10 ** 19])
+    def test_exponents_of_any_size(self, offset):
+        # y^N (1 + x^2 + y) has the measure of 1 + x + y. At N = 1e17 the
+        # outer exponents reached the phases as doubles, where N + 1 rounds
+        # to N and the measure read log 2; from 2^63 they left int64
+        p = P(2, {(0, offset): 1, (2, offset): 1, (0, offset + 1): 1})
+        rep = mahler_mv_report(p)
+        assert abs(rep.log_measure - SMYTH_LOG) <= rep.achieved_tol + 1e-14
+
     def test_report_carries_achieved_tol(self):
         p = P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         rep = mahler_mv_report(p, 1e-6)
@@ -509,6 +518,17 @@ class TestDominantFace:
         rep = mahler_mv_report(p, max_evals=1)
         assert rep.log_measure == math.log(5)
         assert rep.achieved_tol == 0.0
+
+    def test_faces_reduce_in_one_call(self, monkeypatch):
+        # the faces are peeled in a loop, so a wrapper of log_mahler_mv
+        # (a tracer's) counts its callers, not the faces
+        entries = []
+        real = mahler_mod.log_mahler_mv
+        monkeypatch.setattr(mahler_mod, "log_mahler_mv",
+                            lambda *a: entries.append(a) or real(*a))
+        p = P(3, {(0, 0, 0): 5, (3, 1, 0): 1, (0, 4, 2): 1, (1, 0, 5): 1})
+        assert mahler_mv_report(p).log_measure == math.log(5)
+        assert len(entries) == 1
 
     @pytest.mark.parametrize("where", ["least", "greatest"])
     def test_two_variables_reduce_to_jensen(self, monkeypatch, where):
