@@ -20,15 +20,15 @@ from .degree import (AsymptoteReport, ConvexityReport, DetFunction,
 from .errors import (ChiefPartTieError, DegenerateSliceError,
                      IllConditionedError, InputError, L2AlexError,
                      QuadratureBudgetError, VariableCountMismatch,
-                     ZeroMatrixError, ZeroPolynomialError)
+                     ZeroPolynomialError)
 from .kernels import KERNEL_BACKEND
 from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import MahlerResult, RootData, mahler_mv_report, roots
 from .quadrature import geometric_grid
 from .torsion3m import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                         V3, ConstantTorsion, FiberedTorsion, GraphTorsion,
-                        PresentationTorsion, ProductTorsion, TorsionFunction,
-                        TorsionSpec, torsion_degree, torsion_from_presentation,
+                        PresentationTorsion, ProductTorsion, TorsionSpec,
+                        torsion_degree, torsion_from_presentation,
                         triple_figure_eight, triple_figure_eight_torsion)
 from .twist import CohomClass, exponent_bound, twist
 
@@ -40,11 +40,10 @@ __all__ = [
     "FIGURE_EIGHT_ENTROPY", "FIGURE_EIGHT_VOLUME", "GraphTorsion",
     "IllConditionedError", "InputError", "KERNEL_BACKEND", "L2AlexError",
     "LaurentMatrix", "LaurentPoly", "MahlerResult", "PresentationTorsion",
-    "ProductTorsion", "QuadratureBudgetError", "RootData", "TorsionFunction",
-    "TorsionSpec", "UNSPECIFIED", "V3", "VariableCountMismatch",
-    "ZeroMatrixError", "ZeroPolynomialError", "chief_part",
-    "convexity_check", "det_function", "exponent_bound", "geometric_grid",
-    "mahler_mv_report", "roots", "torsion_degree",
+    "ProductTorsion", "QuadratureBudgetError", "RootData", "TorsionSpec",
+    "UNSPECIFIED", "V3", "VariableCountMismatch", "ZeroPolynomialError",
+    "chief_part", "convexity_check", "det_function", "exponent_bound",
+    "geometric_grid", "mahler_mv_report", "roots", "torsion_degree",
     "torsion_from_presentation", "triple_figure_eight",
     "triple_figure_eight_torsion", "twist",
 ]

@@ -16,9 +16,10 @@ type) answers error[usage], exit 1; -h prints the help and exits 0. A
 and a --max-evals below 1 as error[bad-budget], before any work. An input
 too ill-conditioned for double precision (IllConditionedError: a root
 factorization that fails its reconstruction check, a determinant
-coefficient beyond the double range, or a polynomial whose exponent
+coefficient beyond the double range, a polynomial whose exponent
 spread in one variable exceeds the largest degree that root finding
-takes) answers error[ill-conditioned], exit 3.
+takes, or a grid point t at which some sigma_j log t is beyond the double
+range) answers error[ill-conditioned], exit 3.
 A matrix entry with a non-integer exponent, a non-finite coefficient
 (such as a JSON integer beyond the double range, or a complex one whose
 modulus is beyond it), or a coefficient too small beside the entry's

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (ChiefPartTieError, QuadratureBudgetError,
-                     ZeroMatrixError, ZeroPolynomialError)
+                     ZeroPolynomialError)
 from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, log_mahler_mv,
                      mahler_mv_report, roots, saturating_exp)
@@ -146,10 +146,7 @@ class DetFunction:
 def det_function(a: LaurentMatrix, c: CohomClass,
                  index_divisor: int = 1) -> DetFunction:
     """Build V from a matrix and a class; the determinant is cached."""
-    try:
-        bound = exponent_bound(a, c)
-    except ZeroMatrixError:
-        bound = None
+    bound = exponent_bound(a, c)
     return DetFunction(a.determinant(), c, index_divisor, bound)
 
 

@@ -30,13 +30,6 @@ class ZeroPolynomialError(L2AlexError):
     """Operation undefined for the zero polynomial."""
 
 
-class ZeroMatrixError(L2AlexError):
-    """Exponent bound undefined: the matrix has empty monomial support.
-
-    The determinant function of such a matrix is constantly |det| * t^0 = 0.
-    """
-
-
 class QuadratureBudgetError(L2AlexError):
     """Adaptive quadrature ran out of evaluation budget before reaching tol.
 
@@ -60,8 +53,9 @@ class DegenerateSliceError(L2AlexError):
 
 class IllConditionedError(L2AlexError, ArithmeticError):
     """A root factorization failed its reconstruction check, or a
-    polynomial coefficient (a determinant's, say) left the double range:
-    the input is too ill-conditioned for double precision."""
+    polynomial coefficient (a determinant's, say) or a twist's log scale
+    sigma_j log t left the double range: the input is too ill-conditioned
+    for double precision."""
 
 
 class ChiefPartTieError(L2AlexError):

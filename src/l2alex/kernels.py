@@ -22,6 +22,10 @@ between toric points. A row's roots therefore depend on its group, and
 agree with those of the row alone to the iteration's accuracy rather than
 bitwise; a given batch always gives bit-identical results.
 
+Vanished slices: callers scale the coefficients to at most 1, and slice
+coefficients of magnitude at most _STRIP_TOL (1e-13) are stripped from
+both ends as zeros; a slice left with none raises DegenerateSliceError.
+
 The slice construction, the grouping by degree and the companion roots are
 shared with ``mahler``'s root finding and breakpoint search: a single
 polynomial takes ``companion_roots``, a batch of slices this iteration.
@@ -29,16 +33,17 @@ polynomial takes ``companion_roots``, a batch of slices this iteration.
 
 import numpy as np
 
+from .errors import DegenerateSliceError
 from .quadrature import PANEL_NODES
 
 KERNEL_BACKEND = "python"
-
+_STRIP_TOL = 1e-13        # a slice coefficient this small counts as zero
 _ABERTH_CAP = 60          # iterations before a row falls back to eigenvalues
 _ABERTH_RTOL = 1e-14      # a root stops once its correction is this relative
 _UNIT_ROUNDOFF = 2.0 ** -53   # of float64
 
 
-def batch_log_mahler(coefs, inner, phases, strip_tol):
+def batch_log_mahler(coefs, inner, phases):
     """Log Mahler measures of slice polynomials at a batch of nodes.
 
     Parameters
@@ -49,33 +54,36 @@ def batch_log_mahler(coefs, inner, phases, strip_tol):
         Inner-variable exponent of each term, shifted to 0..D.
     phases : float64[m, T]
         Outer phase <theta_i, v_outer> per node and term.
-    strip_tol : float
-        Absolute threshold below which a slice coefficient counts as zero.
 
     Returns
     -------
-    logm : float64[m]  (entries for all-zero slices are 0 and flagged)
-    zero_mask : bool[m]
+    logm : float64[m]
+
+    Raises DegenerateSliceError if some slice vanishes: every one of its
+    coefficients is at most _STRIP_TOL in magnitude.
     """
     coefs = np.ascontiguousarray(coefs, dtype=np.complex128)
     inner = np.ascontiguousarray(inner, dtype=np.int64)
     phases = np.ascontiguousarray(phases, dtype=np.float64)
-    m = phases.shape[0]
-    slices = slice_coefficients(coefs, inner, phases)
-
-    alive = np.abs(slices) > strip_tol
-    zero_mask = ~alive.any(axis=1)
-    logm = np.zeros(m, dtype=np.float64)
-    for sel, block, d in degree_blocks(slices, alive):
+    logm = np.empty(phases.shape[0], dtype=np.float64)
+    filled = 0
+    for sel, block, d in degree_blocks(
+            slice_coefficients(coefs, inner, phases)):
         logm[sel] = _block_log_mahler(block, d, sel)
-    return logm, zero_mask
+        filled += sel.size
+    if filled < logm.size:
+        raise DegenerateSliceError(
+            "a one-variable slice of a nonzero polynomial vanished at a "
+            "quadrature node")
+    return logm
 
 
-def degree_blocks(slices, alive):
+def degree_blocks(slices):
     """Group the rows of slices (ascending coefficients) by degree, once
-    the coefficients that are not ``alive`` are stripped from both ends.
-    Rows with no live coefficient are left out. Yields (rows, block, d),
-    with block the (len(rows), d+1) stripped coefficients."""
+    the coefficients of magnitude at most _STRIP_TOL are stripped from both
+    ends. Rows with no larger coefficient are left out. Yields (rows,
+    block, d), with block the (len(rows), d+1) stripped coefficients."""
+    alive = np.abs(slices) > _STRIP_TOL
     depth = slices.shape[1]
     live_rows = np.nonzero(alive.any(axis=1))[0]
     lo = np.argmax(alive[live_rows], axis=1)

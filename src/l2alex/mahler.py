@@ -24,7 +24,10 @@ Other polynomials of several variables reduce to nested one-variable
 problems: the variable of largest exponent spread is integrated exactly by
 Jensen on each slice (this absorbs the log singularities of log|p| on its
 zero set), and the remaining angles are integrated by adaptive
-Gauss-Kronrod panels (see ``quadrature``).
+Gauss-Kronrod panels (see ``quadrature``). The slice kernel
+(``kernels.batch_log_mahler``) is the integrand of the last angle; it owns
+the threshold below which a slice coefficient counts as zero, and raises
+DegenerateSliceError for a slice that vanishes at a node.
 When every coefficient is real, p(conj z) = conj p(z), so the slice
 log-measure at outer angle -theta equals the one at theta and the outermost
 angle is integrated over half the circle. With three or more variables this
@@ -55,12 +58,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (DegenerateSliceError, IllConditionedError,
-                     QuadratureBudgetError, ZeroPolynomialError)
+from .errors import (IllConditionedError, QuadratureBudgetError,
+                     ZeroPolynomialError)
 from .laurent import LaurentPoly
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget, adaptive_circle_mean
+from .twist import dot
 
-_STRIP_REL = 1e-13
 _TORIC_RADIUS = 1e-6     # a resultant root this near the circle is on it
 _TORIC_SNR = 1e6         # resultant samples must exceed their rounding by this
 _TORIC_MAX_ROOTS = 64    # largest resultant root-finder (see _toric_angles)
@@ -170,8 +173,9 @@ def saturating_exp(x: float) -> float:
 
 
 def log_scaled_mahler_from_roots(rd: RootData, log_c: float) -> float:
-    """log M(p(c z)) from log c, so c itself may lie outside the doubles."""
-    out = math.log(abs(rd.leading)) + rd.power * log_c
+    """log M(p(c z)) from log c, so c itself may lie outside the doubles,
+    and so may the exponent of the monomial factor (``twist.dot``)."""
+    out = dot((log_c,), (rd.power,), math.log(abs(rd.leading)))
     for b in rd.roots:
         out += max(log_c, math.log(abs(b)))
     return out
@@ -345,7 +349,7 @@ def _toric_angles(coefs, inner, outer):
     # roots of p_phi at those phis, stripped and grouped as in the kernel
     rows = kernels.slice_coefficients(coefs, outer, phis[:, None] * inner)
     thetas = []
-    for _, block, d in kernels.degree_blocks(rows, np.abs(rows) > _STRIP_REL):
+    for _, block, d in kernels.degree_blocks(rows):
         if d > 0:
             xs = kernels.companion_roots(block).reshape(-1)
             thetas.extend(
@@ -400,14 +404,8 @@ def _nested_log_mean(coefs, inner, outer_exps, tol, budget):
         breaks = _toric_angles(coefs, inner, col)
 
         def f(thetas):
-            phases = thetas[:, None] * col[None, :]
-            logm, zero_mask = kernels.batch_log_mahler(
-                coefs, inner, phases, _STRIP_REL)
-            if zero_mask.any():
-                raise DegenerateSliceError(
-                    "a one-variable slice of a nonzero polynomial vanished "
-                    "at a quadrature node")
-            return logm
+            return kernels.batch_log_mahler(coefs, inner,
+                                            thetas[:, None] * col[None, :])
 
         return adaptive_circle_mean(f, tol, budget, even=even,
                                     breaks=breaks)[:2]

@@ -35,8 +35,10 @@ Rounding: the reported error is at least ROUNDOFF_FLOOR times
 max(1, mean |f|) (see ``adaptive_circle_mean``), since smooth panels drive
 the embedded estimate below the rounding of the integrand itself.
 
-Determinism: panels are refined and summed in left-endpoint order, so a given
-tolerance and budget always produce bit-identical results.
+Determinism: panels stay in left-endpoint order, with each sweep's halves,
+evaluated in one batch in that order, spliced in place of their parents;
+so sums run in that order, and a given tolerance and budget always produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -186,50 +188,43 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
     if not budget.charge(len(lefts) * PANEL_NODES):
         raise QuadratureBudgetError(exhausted, value, err_sum)
 
-    # panel record: (left, width, K15, |K15 - G7|)
+    # panel records (left, width, K15, |K15 - G7|), kept in left order
     panels = list(zip(lefts, widths, *gk_batch(lefts, widths)))
 
-    def totals():
-        ordered = sorted(panels, key=lambda rec: rec[0])
-        val = 0.0
-        err = 0.0
-        mag = 0.0
-        for rec in ordered:
-            val += rec[2]
-            err += rec[3]
-            mag += abs(rec[2])
-        return val, err, mag
-
     while True:
-        value, err_sum, mag = totals()
+        value = err_sum = mag = 0.0
+        for rec in panels:
+            value += rec[2]
+            err_sum += rec[3]
+            mag += abs(rec[2])
         if err_sum <= tol_total:
             floor = ROUNDOFF_FLOOR * max(1.0, mag / span)
             return (value / span, max(err_sum / span, floor),
                     budget.used - start_used)
 
-        threshold = tol_total / max(len(panels), 1)
-        split = [rec for rec in panels
-                 if rec[3] > threshold and rec[1] > _MIN_WIDTH]
-        if not split:
-            worst = max(panels, key=lambda rec: (rec[3], rec[0]))
-            if worst[1] <= _MIN_WIDTH:
+        threshold = tol_total / len(panels)
+        split = [rec[3] > threshold and rec[1] > _MIN_WIDTH for rec in panels]
+        if not any(split):
+            worst = max(range(len(panels)),
+                        key=lambda i: (panels[i][3], panels[i][0]))
+            if panels[worst][1] <= _MIN_WIDTH:
                 raise QuadratureBudgetError(
                     "panels at minimum width before reaching tolerance",
                     value / span, err_sum / span)
-            split = [worst]
-        split.sort(key=lambda rec: rec[0])
+            split[worst] = True
+        cut = [rec for rec, s in zip(panels, split) if s]
 
-        if not budget.charge(2 * len(split) * PANEL_NODES):
+        if not budget.charge(2 * len(cut) * PANEL_NODES):
             raise QuadratureBudgetError(exhausted, value / span,
                                         err_sum / span)
 
-        split_ids = {id(rec) for rec in split}
-        keep = [rec for rec in panels if id(rec) not in split_ids]
-        h_widths = np.repeat([rec[1] / 2 for rec in split], 2)
-        h_lefts = np.repeat([rec[0] for rec in split], 2)
+        h_widths = np.repeat([rec[1] / 2 for rec in cut], 2)
+        h_lefts = np.repeat([rec[0] for rec in cut], 2)
         h_lefts[1::2] += h_widths[1::2]
-        keep.extend(zip(h_lefts, h_widths, *gk_batch(h_lefts, h_widths)))
-        panels = keep
+        halves = iter(zip(h_lefts, h_widths, *gk_batch(h_lefts, h_widths)))
+        pairs = zip(halves, halves)    # (left half, right half) per panel
+        panels = [half for rec, s in zip(panels, split)
+                  for half in (next(pairs) if s else (rec,))]
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:

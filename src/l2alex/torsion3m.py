@@ -84,21 +84,7 @@ class TorsionSpec:
             raise ValueError("index_divisor must be a positive integer")
 
 
-class TorsionFunction:
-    """Interface: value(t) -> float or UNSPECIFIED; degree_report()."""
-
-    def value(self, t: float, tol: float = 1e-8):
-        raise NotImplementedError
-
-    def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:
-        raise NotImplementedError
-
-    @property
-    def zero_function(self) -> bool:
-        return False
-
-
-class PresentationTorsion(TorsionFunction):
+class PresentationTorsion:
     """tau(t) = V(t) * prod_i max(t^{a_i}, t^{b_i})^{-1}.
 
     The index is already inside: V carries the 1/index power, and the pairs
@@ -144,12 +130,14 @@ class PresentationTorsion(TorsionFunction):
                                base.method)
 
 
-class FiberedTorsion(TorsionFunction):
+class FiberedTorsion:
     """Fibered class: 1 on (0, e^{-h}), t^x on (e^{h}, inf).
 
     Values inside [e^{-h}, e^{h}] are not specified by the closed form; only
     t = 1 is known (e^{Vol/6pi}) when the volume is supplied.
     """
+
+    zero_function = False
 
     def __init__(self, entropy: float, norm: float, volume: float | None = None):
         if entropy < 0 or norm < 0:
@@ -181,8 +169,10 @@ class GraphTorsion(FiberedTorsion):
         super().__init__(0.0, norm, 0.0)
 
 
-class ConstantTorsion(TorsionFunction):
+class ConstantTorsion:
     """Zero class on a piece of positive volume: constant e^{Vol/6pi}."""
+
+    zero_function = False
 
     def __init__(self, value: float):
         if value <= 0:
@@ -199,7 +189,7 @@ class ConstantTorsion(TorsionFunction):
                                "closed-form")
 
 
-class ProductTorsion(TorsionFunction):
+class ProductTorsion:
     """Pointwise product of pieces glued along torsion-free tori."""
 
     def __init__(self, pieces):
@@ -244,7 +234,7 @@ def torsion_from_presentation(spec: TorsionSpec) -> PresentationTorsion:
                                [(a / k, b / k) for a, b in spec.pairs])
 
 
-def torsion_degree(tau: TorsionFunction, tol: float = 1e-8) -> AsymptoteReport:
+def torsion_degree(tau, tol: float = 1e-8) -> AsymptoteReport:
     return tau.degree_report(tol)
 
 

@@ -33,7 +33,7 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ZeroMatrixError
+from .errors import IllConditionedError
 from .laurent import LaurentMatrix, LaurentPoly
 
 _MAX_DENOMINATOR = 10 ** 6
@@ -151,9 +151,12 @@ class CohomClass:
         t^{sigma_j} without. Where it is positive and finite, log s_j is its
         log, so twists that build the same double share log s_j bit for bit;
         where it leaves the double range, log s_j = sigma_j log t.
+        ValueError unless t is positive and finite; IllConditionedError
+        where some sigma_j log t is itself beyond the double range.
         """
-        if t <= 0:
-            raise ValueError("twist parameter t must be positive")
+        if not 0 < t < math.inf:
+            raise ValueError(
+                f"twist parameter t must be positive and finite, got {t!r}")
         out = []
         for j, sigma_j in enumerate(self.sigma):
             try:
@@ -167,6 +170,10 @@ class CohomClass:
                 s = math.inf
             out.append(math.log(s) if 0.0 < s < math.inf
                        else sigma_j * math.log(t))
+        if not all(map(math.isfinite, out)):
+            raise IllConditionedError(
+                f"a log scale sigma_j log t at t = {t!r} leaves the double "
+                "range")
         return tuple(out)
 
     # -- parsing -----------------------------------------------------------
@@ -176,19 +183,20 @@ class CohomClass:
         return cls(obj["sigma"], obj.get("r"), obj.get("phi"))
 
 
-def dot(xs: Sequence[float], ns: Sequence[int]) -> float:
-    """sum_i x_i * n_i for finite floats x_i and integers n_i.
+def dot(xs: Sequence[float], ns: Sequence[int], start: float = 0) -> float:
+    """start + sum_i x_i * n_i, added left to right, for finite floats
+    start and x_i and integers n_i.
 
     A sum beyond the double range saturates to +-inf with the sign of the
     exact sum, so it is never nan and never raises.
     """
     try:
-        out = sum(x * n for x, n in zip(xs, ns))
+        out = sum((x * n for x, n in zip(xs, ns)), start)
         if math.isfinite(out):
             return out
-    except OverflowError:
+    except OverflowError:    # an n beyond the double range
         pass
-    exact = sum(Fraction(x) * n for x, n in zip(xs, ns))
+    exact = sum((Fraction(x) * n for x, n in zip(xs, ns)), Fraction(start))
     try:
         return float(exact)
     except OverflowError:
@@ -218,7 +226,10 @@ def twist(p: LaurentPoly, c: CohomClass, t: float):
     largest in magnitude, so max |coef| of q is 1. Every factor is summed in
     log space from ``variable_scales``, so an enormous |<sigma, v> log t|
     neither overflows nor loses the relative sizes the quadrature needs.
-    The zero polynomial gives (0, -inf).
+    A log factor beyond the double range, as from an exponent beyond it,
+    saturates to +-inf (``dot``); when the largest one does, it is the log
+    scale and q is its term alone, so that log V(t) = +-inf. The zero
+    polynomial gives (0, -inf).
     """
     if p.nvars != c.nvars:
         raise ValueError(
@@ -226,30 +237,32 @@ def twist(p: LaurentPoly, c: CohomClass, t: float):
     logs = c.variable_scales(t)
     if p.is_zero:
         return p, -math.inf
-    entries = []
-    for exp, a in p.terms.items():
-        logfac = math.log(abs(a))
-        for ls, e in zip(logs, exp):
-            logfac += ls * e
-        entries.append((exp, a, logfac))
-    top = max(e[2] for e in entries)
+    entries = [(exp, a, dot(logs, exp, math.log(abs(a))))
+               for exp, a in p.terms.items()]
+    exp, a, top = max(entries, key=lambda entry: entry[2])
+    if not math.isfinite(top):
+        return LaurentPoly(p.nvars, {exp: a / abs(a)}), top
     terms = {exp: (a / abs(a)) * math.exp(logfac - top)
              for exp, a, logfac in entries}
     return LaurentPoly(p.nvars, terms), top
 
 
-def exponent_bound(a: LaurentMatrix, c: CohomClass) -> float:
-    """R(A, phi) = p * (max - min) of <sigma, v> over the monomial support.
+def exponent_bound(a: LaurentMatrix, c: CohomClass) -> float | None:
+    """R(A, phi) = p * (max - min) of <sigma, v> over the monomial support,
+    or None for a matrix with no monomial, whose determinant function is
+    constantly zero.
 
     Caps the magnitude of every log-log slope of the determinant function.
-    Undefined (raises) for the zero matrix, whose determinant function is
-    constantly zero.
+    Each weight is taken relative to the least monomial v0 of the support,
+    as <sigma, v - v0>, so that the spread of weights survives exponents
+    far beyond 2^53, or beyond the double range; a spread beyond the double
+    range saturates to inf.
     """
     if a.nvars != c.nvars:
         raise ValueError(f"matrix has {a.nvars} variables, class has {c.nvars}")
-    weights = [c.weight(v) for v in a.support_union()]
-    if not weights:
-        raise ZeroMatrixError(
-            "exponent bound undefined for the zero matrix "
-            "(determinant function is constantly zero)")
+    support = a.support_union()
+    if not support:
+        return None
+    base = min(support)
+    weights = [c.weight([x - b for x, b in zip(v, base)]) for v in support]
     return a.size * (max(weights) - min(weights))

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from l2alex import (UNSPECIFIED, CohomClass, DetFunction, LaurentMatrix,
-                    LaurentPoly, TorsionFunction, ZeroPolynomialError,
-                    exponent_bound)
+                    LaurentPoly, ZeroPolynomialError, exponent_bound)
 from l2alex.torsion3m import _ZERO_SNAP, _check_plane, _snap_zeros
 
 _MAX_DEPTH = 48
@@ -212,7 +211,7 @@ class SymmetryReport:
         return self.max_residual <= self.tol
 
 
-def symmetry_check(tau: TorsionFunction, tau_neg: TorsionFunction, grid,
+def symmetry_check(tau, tau_neg, grid,
                    tol: float = 1e-9, eval_tol: float = 1e-10) -> SymmetryReport:
     """Check tau and tau_neg agree up to a monomial factor t^r on the grid.
 

@@ -96,6 +96,29 @@ BIG_EXPONENT_DOC = json.dumps({
 })
 
 
+# documents whose exponents lie beyond the double range, E = 10^400:
+# z^E (1 - 3z + z^2) with sigma = (1), and x^E (1 + x + 3y) with
+# sigma = (1, 2); V(t) is t^E M(...) there, beyond the doubles off t = 1
+E_BEYOND_DOUBLE = 10 ** 400
+BEYOND_DOUBLE_DOCS = {
+    "1v": json.dumps({
+        "variables": ["z"],
+        "matrix": [[[{"exp": [E_BEYOND_DOUBLE + k], "re": c}
+                     for k, c in ((0, 1), (1, -3), (2, 1))]]],
+        "class": {"sigma": [1]},
+    }),
+    "2v": json.dumps({
+        "variables": ["x", "y"],
+        "matrix": [[[{"exp": [E_BEYOND_DOUBLE + i, j], "re": c}
+                     for i, j, c in ((0, 0, 1), (1, 0, 1), (0, 1, 3))]]],
+        "class": {"sigma": [1, 2]},
+    }),
+}
+UNDERFLOW_AT_HALF = \
+    "error[underflow]: the value at t=0.5 is below the double range\n"
+SLOPE_OVERFLOW = "error[overflow]: slope_min is inf, beyond the double range\n"
+
+
 def scaled_doc(terms, scale):
     """A 1x1 document of scale * p, p given as {exponent tuple: coeff}."""
     nvars = len(next(iter(terms)))
@@ -712,6 +735,46 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert report["passed"] and report["violations"] == []
+        assert report["slope_bound"] == 1
+
+    @pytest.mark.parametrize("doc, argv, code, out, err", [
+        ("1v", ["mahler"], 0, '{"measure":2.61803398875,'
+         '"log_measure":0.962423650119,"achieved_tol":0}\n', ""),
+        ("2v", ["mahler"], 0,
+         '{"measure":3,"log_measure":1.09861228867,"achieved_tol":0}\n', ""),
+        ("1v", ["eval", "--t-grid", "0.5:2:3"], 1, "", UNDERFLOW_AT_HALF),
+        ("2v", ["eval", "--t-grid", "0.5:2:3"], 1, "", UNDERFLOW_AT_HALF),
+        ("1v", ["torsion", "--t-grid", "0.5:2:3"], 1, "", UNDERFLOW_AT_HALF),
+        ("2v", ["torsion", "--t-grid", "0.5:2:3"], 1, "", UNDERFLOW_AT_HALF),
+        ("1v", ["convexity", "--grid", "0.5:2:3"], 1, "", SLOPE_OVERFLOW),
+        ("2v", ["convexity", "--grid", "0.5:2:3"], 1, "", SLOPE_OVERFLOW),
+    ], ids=["mahler-1v", "mahler-2v", "eval-1v", "eval-2v", "torsion-1v",
+            "torsion-2v", "convexity-1v", "convexity-2v"])
+    def test_exponents_beyond_double_range(self, tmp_path, capsys, doc, argv,
+                                           code, out, err):
+        path = tmp_path / "beyond.json"
+        path.write_text(BEYOND_DOUBLE_DOCS[doc])
+        assert run_cli(argv + ["--input", str(path)], capsys) == \
+            (code, out, err)
+
+    @pytest.mark.parametrize("doc", [
+        quadratic_doc('{"sigma":[1.7e308]}'),
+        json.dumps({"variables": ["x", "y"],
+                    "matrix": [[[{"exp": [0, 0], "re": 1},
+                                 {"exp": [1, 0], "re": 1},
+                                 {"exp": [0, 1], "re": 3}]]],
+                    "class": {"sigma": [1.7e308, 1]}})],
+        ids=["1v", "2v"])
+    @pytest.mark.parametrize("t", ["1e-300", "1e300"])
+    def test_log_scale_beyond_double_range_ill_conditioned(
+            self, tmp_path, capsys, doc, t):
+        # sigma_1 log t is about -+1.2e311, so no double holds the twist
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        code, out, err = run_cli(["eval", "--input", str(path), "--t-grid",
+                                  f"{t}:{t}:1"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error[ill-conditioned]:")
 
     def test_tie_error(self, tmp_path, capsys):
         # z1 + z2 with independent integer weights ties at <r, w> = 1

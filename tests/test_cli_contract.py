@@ -5,8 +5,9 @@ the documented exit codes, an error is exactly one ``error[kind]: ...``
 line on stderr, of a documented kind and with that kind's exit code, and
 a success prints no nan or inf. No exception leaves ``main``. Documents
 and command lines are drawn with a weight on the extremes: exponents
-beyond int64, coefficients near both ends of the double range, grids
-reaching 1e-300 and 1e300, and tolerances from 1e-15 to 10.
+beyond int64 and beyond the double range, coefficients near both ends of
+the double range, grids reaching 1e-300 and 1e300, and tolerances from
+1e-15 to 10.
 """
 
 import contextlib
@@ -37,7 +38,7 @@ KIND_EXIT.update({"quadrature-budget": 2, "degeneracy": 3,
 # fate (a spread beyond 1024, a 1e-300 lost beside a 1), and would hide
 # everything else.
 OFFSETS = st.sampled_from([10 ** 19, -10 ** 19, 2 ** 63, -2 ** 63 - 1,
-                           10 ** 17, -10 ** 17, 0, 0])
+                           10 ** 17, -10 ** 17, 10 ** 400, -10 ** 400, 0, 0])
 SMALL_STEPS = st.integers(-2, 2)
 STEPS = st.one_of(*[SMALL_STEPS] * 3,
                   st.sampled_from([1100, 10 ** 17, -10 ** 19, 2 ** 63]))

@@ -138,6 +138,32 @@ class TestBreaks:
         assert edged[0] == pytest.approx(plain[0], abs=1e-15)
 
 
+class TestBatchLayout:
+    """Every batch is what the slice kernel's warm starts assume: groups of
+    PANEL_NODES ascending nodes, one group per panel, the groups in
+    ascending order."""
+
+    @pytest.mark.parametrize("f, even, breaks", [
+        (lambda t: np.log(np.abs(np.exp(1j * t) - 0.996)), False, ()),
+        (lambda t: 2.5 + np.abs(np.sin(t - 0.3)), False, SMYTH_BREAKS),
+        (lambda t: np.log(np.abs(np.exp(1j * t) - 0.996)), True, (1.0,)),
+    ], ids=["full", "full-breaks", "even-break"])
+    def test_groups_ascend(self, f, even, breaks):
+        batches = []
+
+        def recorded(t):
+            batches.append(t.copy())
+            return f(t)
+
+        adaptive_circle_mean(recorded, 1e-11, even=even, breaks=breaks)
+        assert len(batches) >= 8   # several sweeps of refinement
+        for batch in batches:
+            assert batch.size % PANEL_NODES == 0
+            groups = batch.reshape(-1, PANEL_NODES)
+            assert (np.diff(groups, axis=1) > 0).all()
+            assert (np.diff(groups[:, 0]) > 0).all()
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_refused(self, tol):

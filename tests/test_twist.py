@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2alex import (CohomClass, DetFunction, LaurentMatrix, LaurentPoly,
-                    ZeroMatrixError, exponent_bound, twist)
+                    exponent_bound, twist)
 
 from conftest import random_int_matrix, random_int_poly
 from oracles import involution
@@ -161,8 +161,15 @@ class TestExponentBound:
 
     def test_zero_matrix_rejected(self):
         a = LaurentMatrix([[LaurentPoly.zero(1)]])
-        with pytest.raises(ZeroMatrixError):
-            exponent_bound(a, CohomClass([1.0]))
+        assert exponent_bound(a, CohomClass([1.0])) is None
+
+    @pytest.mark.parametrize("n", [10 ** 19, 10 ** 400], ids=["1e19", "1e400"])
+    def test_spread_survives_huge_exponents(self, n):
+        # weights n, n + 1 and n + 1: as floats, 1e19 + 1 rounds to 1e19,
+        # and beyond the double range both are inf
+        a = LaurentMatrix([[P(2, {(0, n): 1, (1, n): 1, (0, n + 1): 3})]])
+        assert exponent_bound(a, CohomClass([1.0, 1.0])) == 1.0
+        assert exponent_bound(a, CohomClass([1.0, -2.0])) == 3.0
 
     def test_subadditive_under_products(self, rng):
         c = CohomClass([1.0, -0.5])
