@@ -9,38 +9,12 @@ identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 input error, 2 numeric-budget error, 3 tie,
 degeneracy or ill-conditioning error. Errors print one line
-"error[kind]: message" to stderr. A malformed command line (an unknown
-command or scenario, a missing option, or an option value of the wrong
-type) answers error[usage], exit 1; -h prints the help and exits 0. A
---tol that is not a positive finite number is refused as error[bad-tol],
-and a --max-evals below 1 as error[bad-budget], before any work. An input
-too ill-conditioned for double precision (IllConditionedError: a root
-factorization that fails its reconstruction check, a determinant
-coefficient beyond the double range, a polynomial whose exponent
-spread in one variable exceeds the largest degree that root finding
-takes, or a grid point t at which some sigma_j log t is beyond the double
-range) answers error[ill-conditioned], exit 3.
-A matrix entry with a non-integer exponent, a non-finite coefficient
-(such as a JSON integer beyond the double range, or a complex one whose
-modulus is beyond it), or a coefficient too small beside the entry's
-largest one to be kept in double precision is refused at parse time as
-error[bad-matrix], naming the entry and the exponent; exponents of any
-size are accepted. A class with a non-finite sigma or r entry,
-or an r and phi that do not reproduce sigma, answers error[bad-class]; a
-pair with a non-finite value answers error[bad-pairs]. A JSON true or
-false where a number is expected is refused under the same kinds (and
-error[bad-index-divisor]). ``eval`` and ``torsion`` print no row when a
-value on the grid of a function that is not constantly zero exceeds the
-double range or falls below it: they answer error[overflow] or
-error[underflow], naming the first such t, and exit 1. A JSON result
-with a field beyond the double range (inf, -inf or nan; such as the
-measure of ``mahler``, ``d_plus`` of ``degree`` or ``slope_max`` of
-``convexity``) prints nothing and answers error[overflow], naming the
-field, exit 1. ``mahler`` on a constantly-zero determinant answers
-error[degeneracy], exit 3, as ``degree`` does, while ``eval``,
-``torsion`` and ``convexity`` report the zero function. A grid of
-``convexity`` with fewer than 3 points answers error[bad-grid], and a
---phi with a coordinate that is not finite error[bad-phi], both exit 1.
+"error[kind]: message" to stderr, never a traceback; a budget error's
+estimate arrives as a log and is exponentiated here, once. README.md's
+command-line section owns the list of which input answers which kind:
+bad input is refused at parse time or before any work, and a value
+beyond the double range answers error[overflow] or error[underflow]
+instead of a row of inf or 0.
 """
 
 from __future__ import annotations
@@ -56,7 +30,7 @@ from .errors import (ChiefPartTieError, DegenerateSliceError,
                      IllConditionedError, InputError, L2AlexError,
                      QuadratureBudgetError, ZeroPolynomialError)
 from .laurent import LaurentMatrix
-from .mahler import mahler_mv_report
+from .mahler import mahler_mv_report, saturating_exp
 from .quadrature import DEFAULT_NODE_BUDGET, geometric_grid
 from .torsion3m import (TorsionSpec, _snap_zeros, torsion_degree,
                         torsion_from_presentation, triple_figure_eight,
@@ -79,11 +53,20 @@ def _has_boolean(value) -> bool:
 
 def parse_input(text: str) -> TorsionSpec:
     """Parse and validate a JSON input document before any computation."""
+    try:   # the parser and the boolean scan recurse into nested values
+        return _parse_document(text)
+    except RecursionError:
+        raise InputError("malformed-json", "nested too deeply") from None
+
+
+def _parse_document(text: str) -> TorsionSpec:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("malformed-json",
                          f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError:   # an integer past the digits int() converts
+        raise InputError("malformed-json", "a number has too many digits")
     if not isinstance(obj, dict):
         raise InputError("malformed-json", "top-level value must be an object")
 
@@ -131,6 +114,9 @@ def parse_input(text: str) -> TorsionSpec:
     if not isinstance(index, int) or index < 1:
         raise InputError("bad-index-divisor",
                          f"index_divisor must be a positive integer, got {index!r}")
+    if index > sys.float_info.max:
+        raise InputError("bad-index-divisor",
+                         "index_divisor is beyond the double range")
     return TorsionSpec(matrix, cohom, pairs, index)
 
 
@@ -373,7 +359,7 @@ def main(argv=None) -> int:
         return _EXIT_INPUT
     except QuadratureBudgetError as exc:
         print(f"error[quadrature-budget]: {exc} "
-              f"(best estimate {exc.best_estimate:.12g}, "
+              f"(best estimate {saturating_exp(exc.best_estimate):.12g}, "
               f"achieved {exc.achieved_tol:.12g})", file=sys.stderr)
         return _EXIT_BUDGET
     except (ChiefPartTieError, DegenerateSliceError,

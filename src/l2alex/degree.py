@@ -26,6 +26,7 @@ double range is reported as +-inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (ChiefPartTieError, QuadratureBudgetError,
@@ -34,7 +35,7 @@ from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, log_mahler_mv,
                      mahler_mv_report, roots, saturating_exp)
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
-from .twist import CohomClass, dot, exponent_bound, twist
+from .twist import CohomClass, check_t, dot, exponent_bound, twist
 
 # <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|, and <r, w> of
 # sum_i |r_i w_i|: two weights closer than this fraction of it are a tie
@@ -44,6 +45,15 @@ _TIE_RTOL = 2.0 ** -40
 # one involved to rounding
 _ROUNDING_ULPS = 8
 _GRID_GEOMETRIC_RTOL = 1e-9
+
+
+def check_index(index_divisor) -> int:
+    """index_divisor as an int; ValueError unless an integer in 1..DBL_MAX."""
+    if (not 1 <= index_divisor <= sys.float_info.max
+            or int(index_divisor) != index_divisor):
+        raise ValueError("index_divisor must be a positive integer within "
+                         "the double range")
+    return int(index_divisor)
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,9 @@ class DetFunction:
             raise ValueError(
                 f"determinant has {det_poly.nvars} variables, "
                 f"class has {cohom.nvars}")
-        if int(index_divisor) != index_divisor or index_divisor < 1:
-            raise ValueError("index_divisor must be a positive integer")
         self.det_poly = det_poly
         self.cohom = cohom
-        self.index_divisor = int(index_divisor)
+        self.index_divisor = check_index(index_divisor)
         self.exp_bound = exp_bound
         self._rootdata: RootData | None = None
 
@@ -100,31 +108,27 @@ class DetFunction:
         return self._rootdata
 
     def log_eval(self, t: float, tol: float = 1e-8) -> float:
-        """log V(t) (-inf for the zero function).
+        """log V(t) (-inf for the zero function), for t positive and finite.
 
         Exact (closed form on the root factorization) in one variable;
-        adaptive quadrature otherwise.
+        adaptive quadrature otherwise, whose QuadratureBudgetError carries
+        estimates of log V(t) and of the error of that log.
         """
-        if t <= 0:
-            raise ValueError("t must be positive")
+        check_t(t)
         if self.is_zero:
             return -math.inf
+        k = self.index_divisor
         if self.det_poly.nvars == 1:
             log_s1 = self.cohom.variable_scales(t)[0]
-            logv = log_scaled_mahler_from_roots(self._roots1v(), log_s1)
-        else:
-            q, log_scale = twist(self.det_poly, self.cohom, t)
-            try:
-                logm, _ = log_mahler_mv(q, tol,
-                                        NodeBudget(DEFAULT_NODE_BUDGET))
-            except QuadratureBudgetError as exc:
-                # an estimate of M(q), rescaled to one of V(t)
-                exc.best_estimate = saturating_exp(
-                    (math.log(exc.best_estimate) + log_scale)
-                    / self.index_divisor)
-                raise
-            logv = logm + log_scale
-        return logv / self.index_divisor
+            return log_scaled_mahler_from_roots(self._roots1v(), log_s1) / k
+        q, log_scale = twist(self.det_poly, self.cohom, t)
+        try:
+            logm, _ = log_mahler_mv(q, tol, NodeBudget(DEFAULT_NODE_BUDGET))
+        except QuadratureBudgetError as exc:
+            exc.best_estimate = (exc.best_estimate + log_scale) / k
+            exc.achieved_tol /= k
+            raise
+        return (logm + log_scale) / k
 
     def eval(self, t: float, tol: float = 1e-8) -> float:
         """V(t), saturating to inf if it exceeds the double range."""
@@ -234,10 +238,14 @@ def convexity_check(v: DetFunction, grid,
     where V leaves the double range. Both bounds also leave
     _ROUNDING_ULPS ulps of the largest |log V| involved (divided by the
     log t step for slopes) to rounding, which matters only where log V is
-    huge: at 1e19 log t an ulp is 1024. A constantly-zero function passes
-    trivially (flagged, its log values -inf).
+    huge: at 1e19 log t an ulp is 1024. An excess or range that cannot be
+    compared (nan: inf - inf, where log V leaves the double range) is a
+    violation. A constantly-zero function passes trivially (flagged, its
+    log values -inf).
     """
     grid = [float(t) for t in grid]
+    for t in grid:
+        check_t(t)
     if len(grid) < 3:
         raise ValueError("grid needs at least 3 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -256,23 +264,18 @@ def convexity_check(v: DetFunction, grid,
     report = ConvexityReport(grid, logs, slope_bound=v.exp_bound)
     for i in range(len(grid) - 2):
         excess = logs[i + 1] - 0.5 * (logs[i] + logs[i + 2])
-        if excess > tol + _rounding(logs[i:i + 3]):
+        if not excess <= tol + _rounding(logs[i:i + 3]):
             report.violations.append((grid[i], grid[i + 1], grid[i + 2], excess))
 
-    lo_pair = hi_pair = None
-    slope_min = math.inf
-    slope_max = -math.inf
-    for i in range(len(grid) - 1):
-        slope = (logs[i + 1] - logs[i]) / (logt[i + 1] - logt[i])
-        if slope < slope_min:
-            slope_min, lo_pair = slope, (grid[i], grid[i + 1])
-        if slope > slope_max:
-            slope_max, hi_pair = slope, (grid[i], grid[i + 1])
-    report.slope_min = slope_min
-    report.slope_max = slope_max
+    slopes = [(logs[i + 1] - logs[i]) / (logt[i + 1] - logt[i])
+              for i in range(len(grid) - 1)]
+    lo = min(range(len(slopes)), key=slopes.__getitem__)
+    hi = max(range(len(slopes)), key=slopes.__getitem__)
+    report.slope_min, report.slope_max = slopes[lo], slopes[hi]
     step = min(b - a for a, b in zip(logt, logt[1:]))
-    if (v.exp_bound is not None and slope_max - slope_min
-            > v.exp_bound + tol + _rounding(logs) / step):
+    if (v.exp_bound is not None and not report.slope_range
+            <= v.exp_bound + tol + _rounding(logs) / step):
         report.slope_violations.append(
-            (lo_pair, hi_pair, slope_max - slope_min))
+            ((grid[lo], grid[lo + 1]), (grid[hi], grid[hi + 1]),
+             report.slope_range))
     return report

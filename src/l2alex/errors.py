@@ -33,7 +33,9 @@ class ZeroPolynomialError(L2AlexError):
 class QuadratureBudgetError(L2AlexError):
     """Adaptive quadrature ran out of evaluation budget before reaching tol.
 
-    Carries the best estimate obtained so far and the achieved error.
+    Carries the best estimate so far and its achieved error, in log units
+    as the library's results report them: an estimate of log M, log V(t) or
+    log tau(t), or of the mean itself from ``adaptive_circle_mean``.
     """
 
     def __init__(self, message, best_estimate, achieved_tol):

@@ -249,7 +249,8 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
     and the achieved tolerance of its face (``_dominant_face``): 0 when
     the faces end at one variable or one term, which run no toric search
     and no quadrature. IllConditionedError, before any array is built, if
-    the largest exponent spread left exceeds _MAX_DEGREE.
+    the largest exponent spread left exceeds _MAX_DEGREE; a
+    QuadratureBudgetError carries its estimate of log M(p).
     """
     face = p
     while face is not None:
@@ -280,9 +281,8 @@ def log_mahler_mv(p: LaurentPoly, tol: float, budget: NodeBudget):
         mean, achieved = _nested_log_mean(
             coefs, exps[:, inner_var], exps[:, outer_vars], tol, budget)
     except QuadratureBudgetError as exc:
-        raise QuadratureBudgetError(
-            str(exc), saturating_exp(exc.best_estimate + math.log(scale)),
-            exc.achieved_tol) from None
+        exc.best_estimate += math.log(scale)
+        raise
     return mean + math.log(scale), achieved
 
 

@@ -94,11 +94,14 @@ class NodeBudget:
         self.limit = int(limit)
         self.used = 0
 
-    def charge(self, n: int) -> bool:
+    def charge(self, n: int) -> None:
+        """Count n more evaluations, or raise QuadratureBudgetError past the
+        limit, with a nan estimate that the charging integral replaces."""
         if self.used + n > self.limit:
-            return False
+            raise QuadratureBudgetError(
+                f"quadrature node budget exhausted ({self.limit} evaluations)",
+                math.nan, math.inf)
         self.used += n
-        return True
 
 
 def _gk_batch(f, lefts, widths):
@@ -146,9 +149,10 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
     which the starting panels are split. Returns (mean, achieved_tol,
     n_evals). Raises ValueError unless tol is positive and finite, and
     QuadratureBudgetError if the node budget runs out first, also when it
-    runs out inside f (a nested integral); the error carries this level's
-    mean and achieved error from its last completed sweep, or nan and inf
-    before the first sweep completes.
+    runs out inside f (a nested integral), or if the panels left to split
+    are at the minimum width; the error carries this level's mean and
+    achieved error from its last completed sweep, or nan and inf before
+    the first sweep completes.
 
     achieved_tol is at least ROUNDOFF_FLOOR * max(1, mean |f|), with
     ROUNDOFF_FLOOR = 2^-40 (9.1e-13). The embedded estimate compares
@@ -175,19 +179,15 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
 
     def gk_batch(lefts, widths):
         try:
+            budget.charge(len(lefts) * PANEL_NODES)
             return _gk_batch(f, lefts, widths)
-        except QuadratureBudgetError as exc:
-            raise QuadratureBudgetError(str(exc), value / span,
-                                        err_sum / span) from None
+        except QuadratureBudgetError as exc:   # here or in a nested integral
+            exc.best_estimate, exc.achieved_tol = value / span, err_sum / span
+            raise
 
     lefts, widths = _initial_panels(
         span, _INITIAL_PANELS // 2 if even else _INITIAL_PANELS, breaks, even)
     start_used = budget.used
-    exhausted = (f"quadrature node budget exhausted "
-                 f"({budget.limit} evaluations)")
-    if not budget.charge(len(lefts) * PANEL_NODES):
-        raise QuadratureBudgetError(exhausted, value, err_sum)
-
     # panel records (left, width, K15, |K15 - G7|), kept in left order
     panels = list(zip(lefts, widths, *gk_batch(lefts, widths)))
 
@@ -205,18 +205,12 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
         threshold = tol_total / len(panels)
         split = [rec[3] > threshold and rec[1] > _MIN_WIDTH for rec in panels]
         if not any(split):
-            worst = max(range(len(panels)),
-                        key=lambda i: (panels[i][3], panels[i][0]))
-            if panels[worst][1] <= _MIN_WIDTH:
-                raise QuadratureBudgetError(
-                    "panels at minimum width before reaching tolerance",
-                    value / span, err_sum / span)
-            split[worst] = True
+            # the error sum exceeds tol_total, so some panel exceeds its
+            # share, and each one that does is at the minimum width
+            raise QuadratureBudgetError(
+                "panels at minimum width before reaching tolerance",
+                value / span, err_sum / span)
         cut = [rec for rec, s in zip(panels, split) if s]
-
-        if not budget.charge(2 * len(cut) * PANEL_NODES):
-            raise QuadratureBudgetError(exhausted, value / span,
-                                        err_sum / span)
 
         h_widths = np.repeat([rec[1] / 2 for rec in cut], 2)
         h_lefts = np.repeat([rec[0] for rec in cut], 2)
@@ -228,10 +222,12 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
 
 
 def geometric_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n points lo * (hi/lo)^(k/(n-1)), k = 0..n-1."""
+    """n points lo * (hi/lo)^(k/(n-1)), k = 0..n-1, all finite."""
     if n < 1 or lo <= 0 or hi <= 0 or (n > 1 and hi <= lo):
         raise ValueError("need 0 < lo < hi and n >= 1")
     if n == 1:
+        if not math.isfinite(lo):
+            raise ValueError(f"lo = {lo} is not a finite float")
         return [float(lo)]
     ratio = hi / lo
     if not math.isfinite(ratio):

@@ -28,11 +28,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .degree import AsymptoteReport, DetFunction, det_function
+from .degree import AsymptoteReport, DetFunction, check_index, det_function
 from .errors import QuadratureBudgetError, ZeroPolynomialError
 from .laurent import LaurentMatrix
 from .mahler import saturating_exp
-from .twist import CohomClass
+from .twist import CohomClass, check_t
 
 V3 = 1.0149416064096536            # volume of the regular ideal tetrahedron
 FIGURE_EIGHT_VOLUME = 2.0 * V3
@@ -80,8 +80,7 @@ class TorsionSpec:
         if any(not (math.isfinite(a) and math.isfinite(b)) for a, b in pairs):
             raise ValueError("pair values must be finite")
         object.__setattr__(self, "pairs", pairs)
-        if int(self.index_divisor) != self.index_divisor or self.index_divisor < 1:
-            raise ValueError("index_divisor must be a positive integer")
+        check_index(self.index_divisor)
 
 
 class PresentationTorsion:
@@ -100,25 +99,24 @@ class PresentationTorsion:
         return self.numerator.is_zero
 
     def value(self, t: float, tol: float = 1e-8):
-        """tau(t), saturating to inf if it exceeds the double range."""
-        if t <= 0:
-            raise ValueError("t must be positive")
+        """tau(t), saturating to inf beyond the double range; a
+        QuadratureBudgetError carries an estimate of log tau(t)."""
+        check_t(t)
         if self.zero_function:
             return 0.0
         try:
             logv = self.numerator.log_eval(t, tol)
         except QuadratureBudgetError as exc:
-            v = exc.best_estimate   # of V(t), which may underflow to 0
-            exc.best_estimate = self._divide_pairs(
-                math.log(v) if v else -math.inf, t)
+            exc.best_estimate = self._divide_pairs(exc.best_estimate, t)
             raise
-        return self._divide_pairs(logv, t)
+        return saturating_exp(self._divide_pairs(logv, t))
 
     def _divide_pairs(self, logv: float, t: float) -> float:
+        """log V(t) - sum_i max(a_i log t, b_i log t)."""
         lt = math.log(t)
         for a, b in self.pairs:
             logv -= max(a * lt, b * lt)
-        return saturating_exp(logv)
+        return logv
 
     def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:
         if self.zero_function:
@@ -147,8 +145,7 @@ class FiberedTorsion:
         self.volume = None if volume is None else float(volume)
 
     def value(self, t: float, tol: float = 1e-8):
-        if t <= 0:
-            raise ValueError("t must be positive")
+        check_t(t)
         if t < math.exp(-self.entropy):
             return 1.0
         if t > saturating_exp(self.entropy):
@@ -180,8 +177,7 @@ class ConstantTorsion:
         self.constant = float(value)
 
     def value(self, t: float, tol: float = 1e-8):
-        if t <= 0:
-            raise ValueError("t must be positive")
+        check_t(t)
         return self.constant
 
     def degree_report(self, tol: float = 1e-8) -> AsymptoteReport:

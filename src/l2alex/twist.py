@@ -51,6 +51,13 @@ def _powint(s: float, m: int) -> float:
     return (1.0 / s) ** (-m)
 
 
+def check_t(t: float) -> None:
+    """ValueError unless t is positive and finite: every function's domain."""
+    if not 0 < t < math.inf:
+        raise ValueError(
+            f"twist parameter t must be positive and finite, got {t!r}")
+
+
 class CohomClass:
     """Real covector on the l generators plus optional exact decomposition."""
 
@@ -151,12 +158,11 @@ class CohomClass:
         t^{sigma_j} without. Where it is positive and finite, log s_j is its
         log, so twists that build the same double share log s_j bit for bit;
         where it leaves the double range, log s_j = sigma_j log t.
-        ValueError unless t is positive and finite; IllConditionedError
-        where some sigma_j log t is itself beyond the double range.
+        ValueError unless t is positive and finite (``check_t``);
+        IllConditionedError where some sigma_j log t is itself beyond the
+        double range.
         """
-        if not 0 < t < math.inf:
-            raise ValueError(
-                f"twist parameter t must be positive and finite, got {t!r}")
+        check_t(t)
         out = []
         for j, sigma_j in enumerate(self.sigma):
             try:

@@ -196,6 +196,42 @@ class TestParsing:
                         '"class":{"sigma":[1]},"index_divisor":0}')
         assert info.value.kind == "bad-index-divisor"
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
+        '"class":{"sigma":[1]},"pairs":%s}' % ("[" * 900 + "]" * 900),
+        '{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
+        '"class":{"sigma":[1]},"index_divisor":1%s}' % ("0" * 5000),
+    ], ids=["deep-document", "deep-pairs", "5001-digit-integer"])
+    def test_beyond_the_parser_refused(self, tmp_path, capsys, text):
+        # nesting past the recursion limit of json.loads or of the
+        # boolean scan, or an integer past int()'s digit limit
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        assert info.value.kind == "malformed-json"
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[malformed-json]:")
+        assert len(err.splitlines()) == 1
+
+    def test_index_divisor_beyond_double_range_refused(self, tmp_path, capsys):
+        text = ('{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
+                '"class":{"sigma":[1]},"index_divisor":%d}' % 10 ** 400)
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        assert info.value.kind == "bad-index-divisor"
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for argv in (["eval", "--t-grid", "0.5:2:3"], ["degree"],
+                     ["torsion", "--t-grid", "0.5:2:3"],
+                     ["convexity", "--grid", "0.5:2:3"]):
+            code, out, err = run_cli(argv + ["--input", str(path)], capsys)
+            assert (code, out) == (1, "")
+            assert err == ("error[bad-index-divisor]: index_divisor is "
+                           "beyond the double range\n")
+
     def test_bad_pairs(self):
         with pytest.raises(InputError) as info:
             parse_input('{"variables":["z"],'
@@ -833,6 +869,19 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error[bad-grid]:")
+
+    @pytest.mark.parametrize("grid", ["nan:1:1", "inf:inf:1"])
+    @pytest.mark.parametrize("command", ["eval", "torsion"])
+    def test_non_finite_single_point_grid_refused(self, tmp_path, capsys,
+                                                  command, grid):
+        # also for the zero function, whose rows would print as 0
+        for terms in ("", '{"exp":[1],"re":1}'):
+            path = tmp_path / "doc.json"
+            path.write_text(entry_doc(terms))
+            code, out, err = run_cli([command, "--input", str(path),
+                                      "--t-grid", grid], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error[bad-grid]:")
 
     @pytest.mark.parametrize("phi", ["nan,nan,nan", "1e308,1e308,-2e308"])
     def test_scenario_non_finite_phi_refused(self, capsys, phi):

@@ -118,17 +118,22 @@ class TestDetFunction:
         assert logv == pytest.approx(log_c + d * math.log(t), abs=1e-12,
                                      rel=1e-12)
 
+    @pytest.mark.parametrize("index", [0, 10 ** 400], ids=["0", "10^400"])
+    def test_index_outside_the_doubles_refused(self, index):
+        with pytest.raises(ValueError, match="index_divisor"):
+            DetFunction(ONE_X_Y, CohomClass([1, 1]), index)
+
     @pytest.mark.parametrize("index", [1, 2])
     def test_budget_error_estimates_value(self, monkeypatch, index):
         # (1+x)(1+x+y^3) is twisted to max |coefficient| 1 (a factor 2)
         p = P(2, {(0, 0): 1, (1, 0): 1}) * P(2, {(0, 0): 1, (1, 0): 1,
                                                  (0, 3): 1})
         v = DetFunction(p, CohomClass([1, 1]), index)
-        expect = v.eval(1.0, 1e-10)
+        expect = v.log_eval(1.0, 1e-10)
         monkeypatch.setattr(degree, "DEFAULT_NODE_BUDGET", 600)
         with pytest.raises(QuadratureBudgetError) as info:
             v.log_eval(1.0, 1e-13)
-        assert info.value.best_estimate == pytest.approx(expect, rel=1e-3)
+        assert info.value.best_estimate == pytest.approx(expect, abs=1e-3)
 
 
 class TestChiefPart:
@@ -387,6 +392,19 @@ class TestConvexityCheck:
         assert rep.passed
         assert rep.slope_min == pytest.approx(1.0)
         assert rep.slope_max == pytest.approx(1.0)
+
+    def test_log_values_beyond_double_range_fail(self):
+        # z^(10^400) (1 - 3z + z^2): log V is -inf, 0.962 and inf on the
+        # grid, so the midpoint excess and the slope range are inf - inf
+        e = 10 ** 400
+        p = P(1, {(e,): 1, (e + 1,): -3, (e + 2,): 1})
+        v = det_function(LaurentMatrix([[p]]), CohomClass([1.0]))
+        rep = convexity_check(v, [0.5, 1.0, 2.0])
+        assert rep.log_values[0] == -math.inf and rep.log_values[2] == math.inf
+        assert math.isnan(rep.slope_range)
+        assert not rep.passed
+        assert math.isnan(rep.violations[0][3])
+        assert rep.slope_violations[0][:2] == ((0.5, 1.0), (0.5, 1.0))
 
     def test_non_geometric_grid_rejected(self):
         v = quadratic_fn()

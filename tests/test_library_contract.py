@@ -1,14 +1,14 @@
 """The documented contract at the library's public entry points, as one
 property test: the twin of ``test_cli_contract``.
 
-Whatever the matrix, class, t and tolerance, each entry point returns or
-raises an ``L2AlexError`` subclass or a ``ValueError``, and nothing it
-returns is nan: no float, no coefficient, and none of the fields
+Whatever the matrix, class, t, tolerance and index, each entry point
+returns or raises an ``L2AlexError`` subclass or a ``ValueError``, and
+nothing it returns is nan: no float, no coefficient, and none of the fields
 log_measure, achieved_tol, d_plus, d_minus, C_plus and C_minus. Every value
 is drawn from a short list weighted to the extremes: exponents beyond
 int64 and beyond the double range, coefficients near both ends of the
 double range, classes of huge and tiny weight, t and tolerances that are
-zero, negative or not finite.
+zero, negative or not finite, and an index beyond the double range.
 """
 
 import cmath
@@ -32,6 +32,7 @@ SIGMAS = st.sampled_from([0, 1, -2, 1 / 3, math.pi, 1e300, 1e-300])
 TS = st.sampled_from([5e-324, 1e-300, 0.5, 1, 2, 1e300, math.inf,
                       -math.inf, math.nan, 0, -1])
 TOLS = st.sampled_from([1e-8, 1e-3, 1e-300, 0, math.nan, math.inf])
+INDICES = st.sampled_from([1, 2, 3, 10 ** 400])
 
 
 @st.composite
@@ -45,7 +46,7 @@ def cases(draw):
                          min_size=size, max_size=size))
     sigma = draw(st.lists(SIGMAS, min_size=nvars, max_size=nvars))
     return (LaurentMatrix(rows, nvars=nvars), CohomClass(sigma), draw(TS),
-            draw(TOLS))
+            draw(TOLS), draw(INDICES))
 
 
 def _returns(fn, *args):
@@ -86,7 +87,7 @@ def node_cap():
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases())
 def test_library_contract(case):
-    a, c, t, tol = case
+    a, c, t, tol, index = case
     det = _returns(a.determinant)
     _assert_no_nan(det, _returns(exponent_bound, a, c))
     if det is not None:
@@ -95,7 +96,7 @@ def test_library_contract(case):
             _assert_no_nan(*twisted)
         _assert_no_nan_fields(_returns(mahler_mv_report, det, tol, 5000))
 
-    fn = _returns(det_function, a, c)
+    fn = _returns(det_function, a, c, index)
     if fn is not None:
         _assert_no_nan(_returns(fn.log_eval, t, tol))
         _assert_no_nan_fields(_returns(fn.asymptote, tol))
@@ -103,7 +104,8 @@ def test_library_contract(case):
         if report is not None:
             _assert_no_nan(*report.log_values)
 
-    tau = _returns(torsion_from_presentation, TorsionSpec(a, c))
+    spec = _returns(TorsionSpec, a, c, (), index)
+    tau = spec and _returns(torsion_from_presentation, spec)
     if tau is not None:
         _assert_no_nan(_returns(tau.value, t, tol))
         _assert_no_nan_fields(_returns(tau.degree_report, tol))

@@ -370,7 +370,8 @@ class TestMahlerMV:
         p = P(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 3): 1, (1, 3): 1})
         with pytest.raises(QuadratureBudgetError) as info:
             mahler_mv_report(p, 1e-13, max_evals=600)
-        assert info.value.best_estimate == pytest.approx(1.38135644, rel=1e-3)
+        assert info.value.best_estimate == pytest.approx(
+            math.log(1.38135644), abs=1e-3)
         assert info.value.achieved_tol > 0
 
     def test_complex_coefficients_take_full_circle(self):
@@ -420,7 +421,7 @@ class TestMahlerMV:
             best = info.value.best_estimate
             if not math.isnan(best):
                 finite += 1
-                assert abs(math.log(best) - SMYTH_3V_LOG) <= \
+                assert abs(best - SMYTH_3V_LOG) <= \
                     info.value.achieved_tol + 1e-6
         assert finite >= 2
 

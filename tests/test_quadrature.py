@@ -92,6 +92,30 @@ class TestAdaptiveCircleMean:
         assert math.isnan(info.value.best_estimate)
         assert info.value.achieved_tol == math.inf
 
+    def test_charge_raises_past_the_limit(self):
+        budget = NodeBudget(10)
+        budget.charge(10)
+        with pytest.raises(QuadratureBudgetError,
+                           match=r"exhausted \(10 evaluations\)") as info:
+            budget.charge(1)
+        assert budget.used == 10
+        assert math.isnan(info.value.best_estimate)
+        assert info.value.achieved_tol == math.inf
+
+    def test_panels_at_minimum_width_raise(self):
+        # a jump of 1e6 at c, an angle no bisection of [0, 2pi) lands on:
+        # the panel across it halves to the minimum width, where the error
+        # of that one panel still exceeds 1e-15 * 2pi
+        c = 1.0 + math.sqrt(2.0) * 1e-3
+        budget = NodeBudget()
+        with pytest.raises(QuadratureBudgetError,
+                           match="panels at minimum width") as info:
+            adaptive_circle_mean(lambda t: 1e6 * (t > c), 1e-15, budget)
+        assert budget.used == 1590
+        assert info.value.best_estimate == pytest.approx(
+            1e6 * (2.0 * np.pi - c) / (2.0 * np.pi), rel=1e-14)
+        assert info.value.achieved_tol == pytest.approx(1.16e-11, rel=1e-2)
+
     def test_deterministic(self):
         def f(t):
             return np.log(np.abs(np.exp(1j * t) - 0.996))
@@ -205,6 +229,11 @@ class TestGeometricGrid:
             geometric_grid(2.0, 1.0, 5)
         with pytest.raises(ValueError):
             geometric_grid(1e-300, 1e300, 3)   # hi/lo overflows
+
+    @pytest.mark.parametrize("lo", [math.nan, math.inf])
+    def test_non_finite_single_point_refused(self, lo):
+        with pytest.raises(ValueError, match="not a finite float"):
+            geometric_grid(lo, lo, 1)
 
 
 def _monomial_integral(k):

@@ -82,11 +82,48 @@ class TestPresentation:
                                                  (0, 3): 1})
         tau = torsion_from_presentation(TorsionSpec(
             LaurentMatrix([[p]]), CohomClass([1, 1]), [(0.0, 1.0)], 2))
-        expect = tau.value(2.0, 1e-10)
+        expect = math.log(tau.value(2.0, 1e-10))
         monkeypatch.setattr(degree, "DEFAULT_NODE_BUDGET", 60)
         with pytest.raises(QuadratureBudgetError) as info:
             tau.value(2.0, 1e-13)
-        assert info.value.best_estimate == pytest.approx(expect, rel=1e-3)
+        assert info.value.best_estimate == pytest.approx(expect, abs=1e-3)
+
+    def test_budget_error_estimate_survives_underflow_of_v(self, monkeypatch):
+        # V(0.1) = 0.1^800 M(...) ~ e^-1842 is below the double range, but
+        # its log and the pair's 800 log 0.1 cancel to log tau(0.1)
+        p = P(2, {(800, 0): 1, (801, 0): 1, (800, 1): 1})
+        tau = torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[p]]), CohomClass([1, 0]), [(800, 800)]))
+        assert tau.value(0.1, 1e-10) == pytest.approx(1.0323475798932296,
+                                                      rel=1e-9)
+        monkeypatch.setattr(degree, "DEFAULT_NODE_BUDGET", 200)
+        with pytest.raises(QuadratureBudgetError) as info:
+            tau.value(0.1, 1e-14)
+        assert info.value.best_estimate == pytest.approx(
+            math.log(1.0323475798932296), abs=1e-3)
+
+    def test_index_outside_the_doubles_refused(self):
+        with pytest.raises(ValueError, match="index_divisor"):
+            quadratic_spec(index=10 ** 400)
+
+
+class TestTDomain:
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [
+        ConstantTorsion(2.0).value, GraphTorsion(1.0).value,
+        FiberedTorsion(1.0, 1.0).value,
+        ProductTorsion([ConstantTorsion(2.0)]).value,
+        torsion_from_presentation(quadratic_spec()).value,
+        torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[LaurentPoly.zero(1)]]), CohomClass([1.0]))).value,
+        degree.DetFunction(LaurentPoly.zero(1), CohomClass([1.0])).log_eval,
+        lambda t: degree.convexity_check(degree.DetFunction(
+            LaurentPoly.zero(1), CohomClass([1.0])), [t, t, t]),
+    ], ids=["constant", "graph", "fibered", "product", "presentation",
+            "zero-presentation", "zero-det", "zero-convexity"])
+    def test_t_must_be_positive_and_finite(self, fn, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(t)
 
 
 class TestClosedForms:
