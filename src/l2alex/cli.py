@@ -23,19 +23,20 @@ import argparse
 import json
 import math
 import re
+import reprlib
 import sys
 
 from .degree import det_function, convexity_check
 from .errors import (ChiefPartTieError, DegenerateSliceError,
                      IllConditionedError, InputError, L2AlexError,
                      QuadratureBudgetError, ZeroPolynomialError)
-from .laurent import LaurentMatrix
+from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import mahler_mv_report, saturating_exp
-from .quadrature import DEFAULT_NODE_BUDGET, geometric_grid
+from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget, geometric_grid
 from .torsion3m import (TorsionSpec, _snap_zeros, torsion_degree,
                         torsion_from_presentation, triple_figure_eight,
                         triple_figure_eight_torsion)
-from .twist import CohomClass
+from .twist import CohomClass, check_tol
 
 _EXIT_OK = 0
 _EXIT_INPUT = 1
@@ -43,20 +44,56 @@ _EXIT_BUDGET = 2
 _EXIT_DEGENERATE = 3
 
 
-def _has_boolean(value) -> bool:
-    """A JSON true or false anywhere in value (Python reads it as 1 or 0)."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    return isinstance(value, bool) or (
-        isinstance(value, list) and any(map(_has_boolean, value)))
-
-
 def parse_input(text: str) -> TorsionSpec:
     """Parse and validate a JSON input document before any computation."""
-    try:   # the parser and the boolean scan recurse into nested values
+    try:   # the parser recurses into nested values
         return _parse_document(text)
     except RecursionError:
         raise InputError("malformed-json", "nested too deeply") from None
+
+
+def _number(x, what: str, integer: str = ""):
+    """x if it is a JSON number and not a boolean. Given ``integer``, the
+    words for what is expected ("an integer"), x must also be integral,
+    and comes back as an int. ValueError naming ``what`` otherwise."""
+    if isinstance(x, bool):   # Python reads a JSON true or false as 1 or 0
+        raise ValueError(f"{what} holds a boolean where a number is expected")
+    if isinstance(x, (int, float)) and not integer:
+        return x
+    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{what} is not {integer or 'a number'}")
+
+
+def _read_entry(nvars: int, items, where: str) -> LaurentPoly:
+    """A list of {"exp", "re", "im"} terms, kept exactly or refused."""
+    terms = {}
+    for item in items:
+        raw = item["exp"]
+        what = f"{where}exponent {reprlib.repr(raw)}"   # raw may nest deeply
+        exp = tuple(_number(e, what, "a list of integers") for e in raw)
+        what = f"{where}the coefficient of exponent {list(exp)}"
+        try:
+            c = complex(_number(item["re"], what),
+                        _number(item.get("im", 0.0), what))
+        except OverflowError:   # a JSON integer beyond the double range
+            c = complex(math.inf)
+        terms[exp] = terms.get(exp, 0j) + c
+    for exp, c in terms.items():
+        if not math.isfinite(math.hypot(c.real, c.imag)):   # abs(c) raises
+            raise ValueError(f"{where}the coefficient of exponent {list(exp)} "
+                             "is not finite")
+    poly = LaurentPoly(nvars, terms)
+    for exp, c in terms.items():
+        if c != 0 and exp not in poly.terms:
+            raise ValueError(f"{where}the coefficient of exponent {list(exp)} "
+                             "is lost beside the entry's largest coefficient "
+                             "in double precision")
+    top = max(map(abs, poly.terms.values()), default=1.0)
+    if top < sys.float_info.min:
+        raise ValueError(f"{where}the largest coefficient, {top!r}, is below "
+                         "the normal double range")
+    return poly
 
 
 def _parse_document(text: str) -> TorsionSpec:
@@ -77,12 +114,11 @@ def _parse_document(text: str) -> TorsionSpec:
 
     if "matrix" not in obj or "class" not in obj:
         raise InputError("missing-field", 'both "matrix" and "class" are required')
-    for name in ("matrix", "class", "pairs", "index_divisor"):
-        if _has_boolean(obj.get(name)):   # error[bad-matrix] and so on
-            raise InputError("bad-" + name.replace("_", "-"), f'"{name}" '
-                             "holds a boolean where a number is expected")
     try:
-        matrix = LaurentMatrix.from_obj(nvars, obj["matrix"])
+        matrix = LaurentMatrix(
+            [[_read_entry(nvars, cell, f"entry [{i}][{j}]: ")
+              for j, cell in enumerate(row)]
+             for i, row in enumerate(obj["matrix"])], nvars=nvars)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad-matrix", f"matrix does not parse: {exc}")
     except L2AlexError as exc:
@@ -92,7 +128,13 @@ def _parse_document(text: str) -> TorsionSpec:
     if not isinstance(cls, dict) or "sigma" not in cls:
         raise InputError("bad-class", '"class" must be an object with "sigma"')
     try:
-        cohom = CohomClass.from_obj(cls)
+        r, phi = cls.get("r"), cls.get("phi")
+        cohom = CohomClass(
+            [_number(x, f"sigma entry {reprlib.repr(x)}")
+             for x in cls["sigma"]],
+            r and [_number(x, f"r entry {reprlib.repr(x)}") for x in r],
+            phi and [[_number(e, f"phi entry {reprlib.repr(e)}", "an integer")
+                      for e in row] for row in phi])
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("bad-class", f"class does not parse: {exc}")
     if cohom.nvars != nvars:
@@ -104,19 +146,26 @@ def _parse_document(text: str) -> TorsionSpec:
     if not isinstance(pairs, list):
         raise InputError("bad-pairs", '"pairs" must be a list of [a, b] pairs')
     for item in pairs:
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(isinstance(x, (int, float)) for x in item)):
-            raise InputError("bad-pairs", f"pair {item!r} is not [a, b]")
-        if not all(abs(x) <= sys.float_info.max for x in item):
-            raise InputError("bad-pairs", f"pair {item!r} is not finite")
+        what = f"pair {reprlib.repr(item)}"
+        if not isinstance(item, list) or len(item) != 2:
+            raise InputError("bad-pairs", f"{what} is not [a, b]")
+        try:
+            if not all(abs(_number(x, what)) <= sys.float_info.max
+                       for x in item):
+                raise ValueError(f"{what} is not finite")
+        except ValueError as exc:
+            raise InputError("bad-pairs", str(exc))
 
-    index = obj.get("index_divisor", 1)
-    if not isinstance(index, int) or index < 1:
-        raise InputError("bad-index-divisor",
-                         f"index_divisor must be a positive integer, got {index!r}")
-    if index > sys.float_info.max:
-        raise InputError("bad-index-divisor",
-                         "index_divisor is beyond the double range")
+    try:
+        index = _number(obj.get("index_divisor", 1), "index_divisor",
+                        "a positive integer")
+        if index < 1:
+            raise ValueError(
+                f"index_divisor must be a positive integer, got {index!r}")
+        if index > sys.float_info.max:
+            raise ValueError("index_divisor is beyond the double range")
+    except ValueError as exc:
+        raise InputError("bad-index-divisor", str(exc))
     return TorsionSpec(matrix, cohom, pairs, index)
 
 
@@ -341,11 +390,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_bind_negative_values(argv))
-        tol = getattr(args, "tol", 1.0)
-        if not (math.isfinite(tol) and tol > 0):
+        try:
+            check_tol(getattr(args, "tol", 1.0))
+        except ValueError:
             raise InputError("bad-tol", f"--tol must be a positive finite "
-                                        f"number, got {tol!r}")
-        if getattr(args, "max_evals", 1) < 1:
+                                        f"number, got {args.tol!r}")
+        try:
+            NodeBudget(getattr(args, "max_evals", 1))
+        except ValueError:
             raise InputError("bad-budget", f"--max-evals must be a positive "
                                            f"integer, got {args.max_evals}")
         # the five document commands read their document here, once

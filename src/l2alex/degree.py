@@ -35,7 +35,8 @@ from .laurent import LaurentMatrix, LaurentPoly
 from .mahler import (RootData, log_scaled_mahler_from_roots, log_mahler_mv,
                      mahler_mv_report, roots, saturating_exp)
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget
-from .twist import CohomClass, check_t, dot, exponent_bound, twist
+from .twist import (CohomClass, check_t, check_tol, dot, exponent_bound,
+                    twist)
 
 # <sigma, v> rounds at about 2^-52 of sum_j |sigma_j v_j|, and <r, w> of
 # sum_i |r_i w_i|: two weights closer than this fraction of it are a tie
@@ -108,13 +109,15 @@ class DetFunction:
         return self._rootdata
 
     def log_eval(self, t: float, tol: float = 1e-8) -> float:
-        """log V(t) (-inf for the zero function), for t positive and finite.
+        """log V(t) (-inf for the zero function), for t and tol positive
+        and finite.
 
         Exact (closed form on the root factorization) in one variable;
         adaptive quadrature otherwise, whose QuadratureBudgetError carries
         estimates of log V(t) and of the error of that log.
         """
         check_t(t)
+        check_tol(tol)
         if self.is_zero:
             return -math.inf
         k = self.index_divisor
@@ -243,6 +246,7 @@ def convexity_check(v: DetFunction, grid,
     violation. A constantly-zero function passes trivially (flagged, its
     log values -inf).
     """
+    check_tol(tol)
     grid = [float(t) for t in grid]
     for t in grid:
         check_t(t)

@@ -14,8 +14,8 @@ Conventions:
     law, and the canonical term order is lexicographic on exponent tuples;
   * no stored coefficient is zero: construction prunes exact zeros on the
     integer path and coefficients below 1e-15 x (max |coefficient|) on the
-    float path (numerical determinants shed dust terms); ``from_obj``
-    refuses input that would lose a coefficient this way;
+    float path (numerical determinants shed dust terms); the command
+    line's reader refuses input that would lose a coefficient this way;
   * every coefficient is finite: construction raises IllConditionedError
     for inf or nan, such as a product or scalar multiple that left the
     double range.
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Iterable, Mapping
 
 from .errors import IllConditionedError, VariableCountMismatch
@@ -197,41 +198,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    # -- parsing -----------------------------------------------------------
-
-    @classmethod
-    def from_obj(cls, nvars: int, obj: list) -> "LaurentPoly":
-        """Parse a list of {"exp", "re", "im"} terms, kept exactly or refused.
-
-        An exponent that is not an integer, a coefficient that is not
-        finite or whose modulus is not, or one that construction would
-        prune as negligible beside the largest, raises ValueError naming
-        its exponent.
-        """
-        terms = {}
-        for item in obj:
-            raw = item["exp"]
-            if not all(isinstance(e, int) or (isinstance(e, float)
-                                              and e.is_integer()) for e in raw):
-                raise ValueError(f"exponent {raw} is not a list of integers")
-            exp = tuple(int(e) for e in raw)
-            try:
-                c = complex(float(item["re"]), float(item.get("im", 0.0)))
-            except OverflowError:   # a JSON integer beyond the double range
-                c = complex(math.inf)
-            terms[exp] = terms.get(exp, 0j) + c
-        for exp, c in terms.items():
-            if not math.isfinite(math.hypot(c.real, c.imag)):   # abs(c) raises
-                raise ValueError(
-                    f"the coefficient of exponent {list(exp)} is not finite")
-        poly = cls(nvars, terms)
-        for exp, c in terms.items():
-            if c != 0 and exp not in poly.terms:
-                raise ValueError(
-                    f"the coefficient of exponent {list(exp)} is lost beside "
-                    "the entry's largest coefficient in double precision")
-        return poly
-
 
 class LaurentMatrix:
     """Square matrix of Laurent polynomials sharing one variable count."""
@@ -301,9 +267,10 @@ class LaurentMatrix:
 
         Those and all other matrices take Berkowitz's division-free
         algorithm (S. J. Berkowitz, Inf. Process. Lett. 18, 1984) in
-        complex doubles: O(n^4) ring products, no division, no pivoting
-        (IllConditionedError if a coefficient leaves the double range). A
-        0x0 matrix has determinant 1; a 1x1 matrix, its entry.
+        complex doubles: O(n^4) ring products, no division, no pivoting,
+        on rows scaled by powers of two (IllConditionedError if a
+        coefficient leaves the double range at either end). A 0x0 matrix
+        has determinant 1; a 1x1 matrix, its entry.
         """
         if self.size == 0:
             return LaurentPoly.one(self.nvars)
@@ -314,18 +281,6 @@ class LaurentMatrix:
             if det is not None:
                 return det
         return _det_berkowitz(self.rows, self.nvars)
-
-    @classmethod
-    def from_obj(cls, nvars: int, obj: list) -> "LaurentMatrix":
-        rows = []
-        for i, row in enumerate(obj):
-            rows.append([])
-            for j, cell in enumerate(row):
-                try:
-                    rows[-1].append(LaurentPoly.from_obj(nvars, cell))
-                except ValueError as exc:
-                    raise ValueError(f"entry [{i}][{j}]: {exc}") from None
-        return cls(rows, nvars=nvars) if rows else cls([], nvars=nvars)
 
 
 def divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -398,9 +353,15 @@ def _det_berkowitz(rows, nvars: int) -> LaurentPoly:
     leading principal submatrix A_k follows from that of A_(k-1) by one
     Toeplitz product, whose first column is 1, -a_kk, -R S, -R A_(k-1) S,
     ..., -R A_(k-1)^(k-2) S for the row R and column S that border A_(k-1);
-    det A = (-1)^n c_n. IllConditionedError if a coefficient leaves the
-    double range.
+    det A = (-1)^n c_n. Unless the matrix is integer-certified, each row is
+    first scaled by a power of two (``_row_shift``), exactly, so that the
+    products stay within the double range, and the determinant is scaled
+    back by the inverse power. IllConditionedError if a coefficient leaves
+    the double range, also below its normal numbers.
     """
+    certified = all(p.integer_certified for row in rows for p in row)
+    shifts = [0 if certified else _row_shift(row) for row in rows]
+    rows = [[_scaled(p, s) for p in row] for row, s in zip(rows, shifts)]
     one = LaurentPoly.one(nvars)
     charpoly = [one, -rows[0][0]]
     for k in range(1, len(rows)):
@@ -413,7 +374,33 @@ def _det_berkowitz(rows, nvars: int) -> LaurentPoly:
                                          for c in cols]
         charpoly = [_dot(nvars, toeplitz[i::-1], charpoly)
                     for i in range(k + 2)]
-    return (-1) ** len(rows) * charpoly[-1]
+    det, back = (-1) ** len(rows) * charpoly[-1], -sum(shifts)
+    if not all(sys.float_info.min_exp <= math.frexp(abs(c))[1] + back
+               <= sys.float_info.max_exp for c in det.terms.values()):
+        raise IllConditionedError(
+            "a coefficient left the double range; the input is too "
+            "ill-conditioned for double precision")
+    return _scaled(det, back)
+
+
+def _row_shift(row) -> int:
+    """n such that 2^n brings the row's largest coefficient part into
+    [1/2, 1), raised as far as needed for its smallest nonzero part to stay
+    a normal double, and lowered if the largest would then overflow."""
+    exps = [math.frexp(x)[1] for p in row for c in p.terms.values()
+            for x in (c.real, c.imag) if x]
+    if not exps:
+        return 0
+    lo, hi = min(exps), max(exps)
+    return min(max(-hi, sys.float_info.min_exp - lo),
+               sys.float_info.max_exp - hi)
+
+
+def _scaled(p: LaurentPoly, n: int) -> LaurentPoly:
+    """p * 2^n, exact while every coefficient part stays a normal double."""
+    return LaurentPoly(p.nvars, {
+        e: complex(math.ldexp(c.real, n), math.ldexp(c.imag, n))
+        for e, c in p.terms.items()})
 
 
 def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:

@@ -62,7 +62,7 @@ from .errors import (IllConditionedError, QuadratureBudgetError,
                      ZeroPolynomialError)
 from .laurent import LaurentPoly
 from .quadrature import DEFAULT_NODE_BUDGET, NodeBudget, adaptive_circle_mean
-from .twist import dot
+from .twist import check_tol, dot
 
 _TORIC_RADIUS = 1e-6     # a resultant root this near the circle is on it
 _TORIC_SNR = 1e6         # resultant samples must exceed their rounding by this
@@ -228,16 +228,14 @@ def mahler_mv_report(p: LaurentPoly, tol: float = 1e-8,
     with its log and the achieved quadrature tolerance.
 
     A measure beyond the double range saturates to inf; its log_measure
-    stays finite.
+    stays finite. ValueError unless tol is positive and finite
+    (``check_tol``) and max_evals an integer >= 1 (``NodeBudget``).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    if max_evals < 1:
-        raise ValueError(f"max_evals must be a positive integer, "
-                         f"got {max_evals!r}")
+    check_tol(tol)
+    budget = NodeBudget(max_evals)
     if p.is_zero:
         return MahlerResult(0.0, -math.inf, 0.0)
-    log_measure, achieved = log_mahler_mv(p, tol, NodeBudget(max_evals))
+    log_measure, achieved = log_mahler_mv(p, tol, budget)
     return MahlerResult(saturating_exp(log_measure), log_measure, achieved)
 
 

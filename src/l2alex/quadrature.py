@@ -44,10 +44,12 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import QuadratureBudgetError
+from .twist import check_tol
 
 # QUADPACK qk15 on [-1, 1]: the Kronrod abscissae and weights from x = 1 down
 # to the centre; the 7 Gauss nodes are every other one, from the second on.
@@ -88,10 +90,14 @@ _BREAK_GAP = 1e-9
 
 
 class NodeBudget:
-    """Mutable evaluation budget shared across nested integrals."""
+    """Mutable evaluation budget shared across nested integrals;
+    ValueError unless max_evals is an integer >= 1."""
 
-    def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
-        self.limit = int(limit)
+    def __init__(self, max_evals: int = DEFAULT_NODE_BUDGET):
+        if not (isinstance(max_evals, numbers.Integral) and max_evals >= 1):
+            raise ValueError(f"max_evals must be an integer >= 1, "
+                             f"got {max_evals!r}")
+        self.limit = max_evals
         self.used = 0
 
     def charge(self, n: int) -> None:
@@ -147,12 +153,12 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
     with large batches. With even=True, f must satisfy f(-t) = f(t), and only
     [0, pi) is integrated. breaks are angles (any real, read mod 2pi) at
     which the starting panels are split. Returns (mean, achieved_tol,
-    n_evals). Raises ValueError unless tol is positive and finite, and
-    QuadratureBudgetError if the node budget runs out first, also when it
-    runs out inside f (a nested integral), or if the panels left to split
-    are at the minimum width; the error carries this level's mean and
-    achieved error from its last completed sweep, or nan and inf before
-    the first sweep completes.
+    n_evals). Raises ValueError unless tol is positive and finite
+    (``check_tol``), and QuadratureBudgetError if the node budget runs out
+    first, also when it runs out inside f (a nested integral), or if the
+    panels left to split are at the minimum width; the error carries this
+    level's mean and achieved error from its last completed sweep, or nan
+    and inf before the first sweep completes.
 
     achieved_tol is at least ROUNDOFF_FLOOR * max(1, mean |f|), with
     ROUNDOFF_FLOOR = 2^-40 (9.1e-13). The embedded estimate compares
@@ -168,9 +174,7 @@ def adaptive_circle_mean(f, tol, budget: NodeBudget | None = None,
     relative. The floor is 9 times the worse of the two, and scales with
     the integrand where its magnitude exceeds 1.
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    check_tol(tol)
     if budget is None:
         budget = NodeBudget()
     span = np.pi if even else TWO_PI

@@ -32,7 +32,7 @@ from .degree import AsymptoteReport, DetFunction, check_index, det_function
 from .errors import QuadratureBudgetError, ZeroPolynomialError
 from .laurent import LaurentMatrix
 from .mahler import saturating_exp
-from .twist import CohomClass, check_t
+from .twist import CohomClass, check_t, check_tol
 
 V3 = 1.0149416064096536            # volume of the regular ideal tetrahedron
 FIGURE_EIGHT_VOLUME = 2.0 * V3
@@ -102,6 +102,7 @@ class PresentationTorsion:
         """tau(t), saturating to inf beyond the double range; a
         QuadratureBudgetError carries an estimate of log tau(t)."""
         check_t(t)
+        check_tol(tol)
         if self.zero_function:
             return 0.0
         try:

@@ -58,6 +58,13 @@ def check_t(t: float) -> None:
             f"twist parameter t must be positive and finite, got {t!r}")
 
 
+def check_tol(tol: float) -> None:
+    """ValueError unless tol is positive and finite: every tolerance's
+    domain."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
 class CohomClass:
     """Real covector on the l generators plus optional exact decomposition."""
 
@@ -73,7 +80,10 @@ class CohomClass:
             raise ValueError("r and phi must be given together")
         if r is not None:
             r = tuple(float(x) for x in r)
-            phi = tuple(tuple(int(e) for e in row) for row in phi)
+            rows = tuple(tuple(map(int, row)) for row in phi)
+            if rows != tuple(map(tuple, phi)):
+                raise ValueError(f"phi entries must be integers, got {phi}")
+            phi = rows
             if not all(math.isfinite(x) for x in r):
                 raise ValueError(f"r entries must be finite, got {r}")
             if not r or any(x <= 0 for x in r):
@@ -181,12 +191,6 @@ class CohomClass:
                 f"a log scale sigma_j log t at t = {t!r} leaves the double "
                 "range")
         return tuple(out)
-
-    # -- parsing -----------------------------------------------------------
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "CohomClass":
-        return cls(obj["sigma"], obj.get("r"), obj.get("phi"))
 
 
 def dot(xs: Sequence[float], ns: Sequence[int], start: float = 0) -> float:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -196,24 +197,26 @@ class TestParsing:
                         '"class":{"sigma":[1]},"index_divisor":0}')
         assert info.value.kind == "bad-index-divisor"
 
-    @pytest.mark.parametrize("text", [
-        "[" * 100_000,
-        '{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
-        '"class":{"sigma":[1]},"pairs":%s}' % ("[" * 900 + "]" * 900),
-        '{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
-        '"class":{"sigma":[1]},"index_divisor":1%s}' % ("0" * 5000),
+    @pytest.mark.parametrize("text, kind", [
+        ("[" * 100_000, "malformed-json"),
+        ('{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
+         '"class":{"sigma":[1]},"pairs":%s}' % ("[" * 900 + "]" * 900),
+         "bad-pairs"),
+        ('{"variables":["z"],"matrix":[[[{"exp":[1],"re":1}]]],'
+         '"class":{"sigma":[1]},"index_divisor":1%s}' % ("0" * 5000),
+         "malformed-json"),
     ], ids=["deep-document", "deep-pairs", "5001-digit-integer"])
-    def test_beyond_the_parser_refused(self, tmp_path, capsys, text):
-        # nesting past the recursion limit of json.loads or of the
-        # boolean scan, or an integer past int()'s digit limit
+    def test_beyond_the_parser_refused(self, tmp_path, capsys, text, kind):
+        # nesting past the recursion limit of json.loads, or an integer
+        # past int()'s digit limit; a deep pair is read as one bad pair
         with pytest.raises(InputError) as info:
             parse_input(text)
-        assert info.value.kind == "malformed-json"
+        assert info.value.kind == kind
         path = tmp_path / "doc.json"
         path.write_text(text)
         code, out, err = run_cli(["degree", "--input", str(path)], capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("error[malformed-json]:")
+        assert err.startswith(f"error[{kind}]:")
         assert len(err.splitlines()) == 1
 
     def test_index_divisor_beyond_double_range_refused(self, tmp_path, capsys):
@@ -239,21 +242,24 @@ class TestParsing:
                         '"class":{"sigma":[1]},"pairs":[[1]]}')
         assert info.value.kind == "bad-pairs"
 
-    @pytest.mark.parametrize("value", ['"inf"', '"-inf"', '"nan"', "1e400",
-                                       "NaN", "Infinity", '1,"im":"nan"',
-                                       pytest.param(str(10 ** 400),
-                                                    id="re-10^400"),
-                                       pytest.param('1,"im":-%d' % 10 ** 400,
-                                                    id="im-10^400"),
-                                       pytest.param('1.5e308,"im":1.5e308',
-                                                    id="modulus-1e308")])
-    def test_non_finite_coefficient_refused(self, value):
+    @pytest.mark.parametrize("value, reason", [
+        pytest.param(value, "is not a number", id=value)
+        for value in ('"inf"', '"-inf"', '"nan"', '1,"im":"nan"')] + [
+        pytest.param(value, "is not finite", id=value)
+        for value in ("1e400", "NaN", "Infinity")] + [
+        pytest.param(str(10 ** 400), "is not finite", id="re-10^400"),
+        pytest.param('1,"im":-%d' % 10 ** 400, "is not finite",
+                     id="im-10^400"),
+        pytest.param('1.5e308,"im":1.5e308', "is not finite",
+                     id="modulus-1e308")])
+    def test_non_finite_coefficient_refused(self, value, reason):
+        # a string such as "inf" is not a number: float() is never applied
         with pytest.raises(InputError) as info:
             parse_input(entry_doc('{"exp":[0],"re":1},{"exp":[2],"re":%s}'
                                   % value))
         assert info.value.kind == "bad-matrix"
         assert "entry [1][1]" in str(info.value)
-        assert "exponent [2] is not finite" in str(info.value)
+        assert f"exponent [2] {reason}" in str(info.value)
 
     @pytest.mark.parametrize("exponent", ["2.7", "1e400", "NaN"])
     def test_non_integer_exponent_refused(self, exponent):
@@ -262,6 +268,68 @@ class TestParsing:
         assert info.value.kind == "bad-matrix"
         assert "entry [1][1]" in str(info.value)
         assert "is not a list of integers" in str(info.value)
+
+    @pytest.mark.parametrize("text, kind", [
+        (entry_doc('{"exp":["2"],"re":1}'), "bad-matrix"),
+        (entry_doc('{"exp":[0],"re":"1"}'), "bad-matrix"),
+        (entry_doc('{"exp":[0],"re":1,"im":"0"}'), "bad-matrix"),
+        (quadratic_doc('{"sigma":["1.5"]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[1],"r":["0.5"],"phi":[[2]]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[3],"r":[1],"phi":[["3"]]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[1]},"pairs":[[1,"2"]]'), "bad-pairs"),
+        (quadratic_doc('{"sigma":[1]},"index_divisor":"2"'),
+         "bad-index-divisor")],
+        ids=["exp", "re", "im", "sigma", "r", "phi", "pairs", "index_divisor"])
+    def test_string_for_a_number_refused(self, text, kind):
+        # float() and int() of a JSON string are never applied
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        assert info.value.kind == kind
+        assert "is not" in str(info.value)
+
+    @pytest.mark.parametrize("text, kind", [
+        (quadratic_doc('{"sigma":[2],"r":[1],"phi":[[2.5]]}'), "bad-class"),
+        (quadratic_doc('{"sigma":[1]},"index_divisor":2.5'),
+         "bad-index-divisor")], ids=["phi", "index_divisor"])
+    def test_non_integral_refused(self, text, kind):
+        # phi 2.5 used to be read as 2, which reproduces sigma = 2
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        assert info.value.kind == kind
+
+    def test_integral_floats_read_as_integers(self):
+        doc = parse_input(
+            '{"variables":["z"],"matrix":[[[{"exp":[2.0],"re":1}]]],'
+            '"class":{"sigma":[2],"r":[1],"phi":[[2.0]]},'
+            '"index_divisor":2.0}')
+        assert doc.matrix.rows[0][0].terms == {(2,): 1}
+        assert doc.cohom.phi == ((2,),)
+        assert doc.index_divisor == 2 and isinstance(doc.index_divisor, int)
+
+    def test_boolean_under_an_unknown_key_ignored(self):
+        # the reader checks the numbers it reads, and no other value
+        doc = parse_input(quadratic_doc('{"sigma":[1],"note":true},"x":false'))
+        assert doc.cohom.sigma == (1.0,)
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[]", "malformed-json"),
+        ('{"variables":"z","matrix":[],"class":{"sigma":[]}}',
+         "bad-variables"),
+        ('{"variables":["z"],"matrix":[[[]]]}', "missing-field"),
+        (quadratic_doc("[1]"), "bad-class"),
+        (quadratic_doc('{"sigma":[1]},"pairs":5'), "bad-pairs"),
+        (entry_doc('{"exp":[0,1],"re":1}'), "dimension-mismatch")],
+        ids=["top-level-list", "variables-string", "no-class",
+             "class-not-object", "pairs-not-list", "exponent-length"])
+    def test_malformed_document_refused(self, tmp_path, capsys, text, kind):
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        assert info.value.kind == kind
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(["degree", "--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
 
     def test_cancelling_terms_accepted(self):
         doc = parse_input(entry_doc(
@@ -434,6 +502,12 @@ class TestCommands:
         for row in rows:
             assert row["deg_b"] == pytest.approx(row["norm"], abs=1e-9)
 
+    def test_input_from_stdin(self, quadratic_file, capsys, monkeypatch):
+        expected = run_cli(["degree", "--input", quadratic_file], capsys)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(QUADRATIC_DOC))
+        assert run_cli(["degree", "--input", "-"], capsys) == expected
+        assert expected[0] == 0
+
     def test_deterministic_output(self, smyth_file, capsys):
         _, out1, _ = run_cli(["mahler", "--input", smyth_file], capsys)
         _, out2, _ = run_cli(["mahler", "--input", smyth_file], capsys)
@@ -468,6 +542,20 @@ class TestExitCodes:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[usage]: ")
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["eval", "--t-grid", "1:2"], "bad-grid"),
+        (["scenario", "section9", "--phi", "a,b,c"], "bad-phi"),
+        (["scenario", "section9", "--phi", "1,1,1"], "bad-phi"),
+        (["scenario", "section9", "--sweep", "0"], "bad-sweep")],
+        ids=["grid-form", "phi-non-numeric", "phi-off-plane", "sweep-0"])
+    def test_bad_option_value_refused(self, quadratic_file, capsys, argv,
+                                      kind):
+        if argv[0] != "scenario":
+            argv = argv + ["--input", quadratic_file]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         code, out, err = run_cli(["mahler", "-h"], capsys)
@@ -712,6 +800,43 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error[ill-conditioned]:")
+
+    @pytest.mark.parametrize("command", [
+        ["mahler"], ["eval", "--t-grid", "0.5:2:3"], ["degree"],
+        ["convexity", "--grid", "0.5:2:3"],
+        ["torsion", "--t-grid", "0.5:2:3"]])
+    def test_underflowing_determinant_ill_conditioned(self, tmp_path, capsys,
+                                                      command):
+        # diag(1e-200 (z + 1), 1e-200) is nonsingular, and its determinant
+        # 1e-400 (z + 1) is below the doubles: it used to read as zero
+        tiny = {"exp": [0], "re": 1e-200}
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({
+            "variables": ["z"],
+            "matrix": [[[tiny, {"exp": [1], "re": 1e-200}], []],
+                       [[], [tiny]]],
+            "class": {"sigma": [1]}}))
+        code, out, err = run_cli(command + ["--input", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error[ill-conditioned]:")
+
+    @pytest.mark.parametrize("terms", [
+        {(1,): 1e-320, (0,): -2e-320},
+        {(0, 0): 3e-320, (1, 0): 1e-320, (0, 1): 1e-320}],
+        ids=["1v", "2v"])
+    @pytest.mark.parametrize("command", [
+        ["mahler"], ["eval", "--t-grid", "0.5:2:3"],
+        ["convexity", "--grid", "0.5:2:3"],
+        ["torsion", "--t-grid", "0.5:2:3"]])
+    def test_subnormal_entry_refused(self, tmp_path, capsys, terms, command):
+        # dividing by a subnormal leading coefficient overflowed the
+        # companion matrix, and numpy's eigvals raised
+        path = tmp_path / "subnormal.json"
+        path.write_text(scaled_doc(terms, 1.0))
+        code, out, err = run_cli(command + ["--input", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[bad-matrix]:")
+        assert "below the normal double range" in err
 
     @pytest.mark.parametrize("terms", [
         {(0,): 1, (10 ** 30,): 1},

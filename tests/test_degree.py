@@ -118,6 +118,10 @@ class TestDetFunction:
         assert logv == pytest.approx(log_c + d * math.log(t), abs=1e-12,
                                      rel=1e-12)
 
+    def test_variable_count_mismatch_refused(self):
+        with pytest.raises(ValueError, match="variables"):
+            DetFunction(P(2, {(1, 0): 1}), CohomClass([1.0]))
+
     @pytest.mark.parametrize("index", [0, 10 ** 400], ids=["0", "10^400"])
     def test_index_outside_the_doubles_refused(self, index):
         with pytest.raises(ValueError, match="index_divisor"):
@@ -405,6 +409,13 @@ class TestConvexityCheck:
         assert not rep.passed
         assert math.isnan(rep.violations[0][3])
         assert rep.slope_violations[0][:2] == ((0.5, 1.0), (0.5, 1.0))
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.5, 1.0], "at least 3"), ([2.0, 1.0, 0.5], "increasing")],
+        ids=["two-points", "decreasing"])
+    def test_short_or_decreasing_grid_rejected(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            convexity_check(quadratic_fn(), grid)
 
     def test_non_geometric_grid_rejected(self):
         v = quadratic_fn()

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2alex import (IllConditionedError, LaurentMatrix, LaurentPoly,
-                    VariableCountMismatch)
+from l2alex import (IllConditionedError, InputError, LaurentMatrix,
+                    LaurentPoly, VariableCountMismatch)
 from l2alex import laurent
+from l2alex.cli import parse_input
 from l2alex.laurent import divide_exact
 
 from conftest import (random_complex_terms, random_int_matrix,
@@ -311,6 +312,31 @@ class TestDeterminant:
         a = LaurentMatrix([row] * 5)
         assert a.determinant().is_zero
 
+    @pytest.mark.parametrize("rows, det", [
+        ([[1.0, 1e-200], [1e-200, 1.0]], {(0,): 1.0}),
+        ([[1e300, 1e-30], [-1e30, 1e-300]], {(0,): 2.0}),
+        ([[1e-200, 0, 0], [0, {(1,): 1e-200}, 0], [0, 0, 1e300]],
+         {(1,): 1e-100})],
+        ids=["product-underflows", "rows-far-apart", "leading-block-tiny"])
+    def test_float_determinant_across_the_double_range(self, rows, det):
+        # each row is scaled by a power of two before Berkowitz's products;
+        # 1e-200 * 1e-200 underflows harmlessly beside the 1 of 1 * 1
+        a = LaurentMatrix([[P(1, e if isinstance(e, dict) else {(0,): e})
+                            for e in row] for row in rows])
+        got = a.determinant()
+        assert got.terms.keys() == det.keys()
+        for e, c in det.items():
+            assert got.terms[e] == pytest.approx(c, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_determinant_beyond_the_double_range_refused(self, scale):
+        # diag(s (z + 1), s): s^2 (z + 1) is below or above the doubles; the
+        # small one used to come back as the zero polynomial
+        a = LaurentMatrix([[P(1, {(0,): scale, (1,): scale}), P(1, {})],
+                           [P(1, {}), P(1, {(0,): scale})]])
+        with pytest.raises(IllConditionedError):
+            a.determinant()
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("size", [5, 7])
     def test_complex_matches_numpy(self, seed, size):
@@ -338,12 +364,20 @@ class TestExactDivision:
         assert divide_exact(a * b, b) == a
 
 
+def parse_matrix(nvars, matrix):
+    """The matrix of a document with nvars variables and the raw JSON
+    matrix, read by the command line's reader."""
+    return parse_input(
+        '{"variables": %s, "matrix": %s, "class": {"sigma": %s}}'
+        % (json.dumps(["z"] * nvars), matrix, [1] * nvars)).matrix
+
+
 class TestSerialization:
     # a parsed document keeps every bit of floats that need 17 digits
     def test_round_trip(self):
-        p = LaurentPoly.from_obj(2, json.loads(
-            '[{"exp": [1, 0], "re": 0.1, "im": 1.4142135623730951},'
-            ' {"exp": [-1, 3], "re": -2}]'))
+        p = parse_matrix(
+            2, '[[[{"exp": [1, 0], "re": 0.1, "im": 1.4142135623730951},'
+               ' {"exp": [-1, 3], "re": -2}]]]').rows[0][0]
         assert p == P(2, {(1, 0): complex(0.1, math.sqrt(2)), (-1, 3): -2})
 
     @pytest.mark.parametrize("term", [
@@ -352,13 +386,12 @@ class TestSerialization:
     ], ids=["re-10^400", "im-10^400"])
     def test_integer_beyond_double_range_refused(self, term):
         # float() of such a JSON integer raises OverflowError
-        with pytest.raises(ValueError, match=r"exponent \[2\] is not finite"):
-            LaurentPoly.from_obj(1, json.loads('[{"exp": [0], "re": 1}, %s]'
-                                               % term))
+        with pytest.raises(InputError, match=r"exponent \[2\] is not finite"):
+            parse_matrix(1, '[[[{"exp": [0], "re": 1}, %s]]]' % term)
 
     def test_matrix_round_trip(self):
-        a = LaurentMatrix.from_obj(2, json.loads(
-            '[[[{"exp": [0, 0], "re": 0.1}], []],'
-            ' [[], [{"exp": [1, -1], "re": 1.4142135623730951}]]]'))
+        a = parse_matrix(
+            2, '[[[{"exp": [0, 0], "re": 0.1}], []],'
+               ' [[], [{"exp": [1, -1], "re": 1.4142135623730951}]]]')
         assert a == LaurentMatrix([[P(2, {(0, 0): 0.1}), P(2, {})],
                                    [P(2, {}), P(2, {(1, -1): math.sqrt(2)})]])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from l2alex import QuadratureBudgetError, geometric_grid
+from l2alex import (LaurentPoly, QuadratureBudgetError, geometric_grid,
+                    mahler_mv_report)
 from l2alex.quadrature import (_NODES, _WEIGHTS, PANEL_NODES,
                                ROUNDOFF_FLOOR, NodeBudget, _gk_batch,
                                adaptive_circle_mean)
@@ -91,6 +92,17 @@ class TestAdaptiveCircleMean:
             adaptive_circle_mean(outer, 1e-12, budget)
         assert math.isnan(info.value.best_estimate)
         assert info.value.achieved_tol == math.inf
+
+    @pytest.mark.parametrize("max_evals", [0, -1, 2.5, math.nan])
+    @pytest.mark.parametrize("build", [
+        NodeBudget,
+        lambda n: mahler_mv_report(LaurentPoly(1, {(0,): 2}), max_evals=n)],
+        ids=["budget", "mahler"])
+    def test_budget_must_be_an_integer_from_one(self, build, max_evals):
+        # NodeBudget(0) used to fail only at its first charge, and
+        # max_evals=2.5 ran with a budget of 2
+        with pytest.raises(ValueError, match="max_evals"):
+            build(max_evals)
 
     def test_charge_raises_past_the_limit(self):
         budget = NodeBudget(10)

@@ -9,9 +9,11 @@ from l2alex import (FIGURE_EIGHT_ENTROPY, FIGURE_EIGHT_VOLUME, UNSPECIFIED,
                     GraphTorsion, LaurentMatrix, LaurentPoly, TorsionSpec,
                     ProductTorsion, QuadratureBudgetError,
                     ZeroPolynomialError, exponent_bound, geometric_grid,
-                    torsion_degree, torsion_from_presentation,
-                    triple_figure_eight, triple_figure_eight_torsion)
+                    mahler_mv_report, torsion_degree,
+                    torsion_from_presentation, triple_figure_eight,
+                    triple_figure_eight_torsion)
 from l2alex import degree
+from l2alex.quadrature import adaptive_circle_mean
 
 from oracles import (fox_derivative_1v, hexagon_norm_check, symmetry_check,
                      two_bridge_relator)
@@ -124,6 +126,43 @@ class TestTDomain:
     def test_t_must_be_positive_and_finite(self, fn, t):
         with pytest.raises(ValueError, match="positive and finite"):
             fn(t)
+
+
+class TestTolDomain:
+    # checked first, also on the paths that run no quadrature
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [
+        lambda tol: degree.DetFunction(
+            quadratic_spec().matrix.determinant(),
+            CohomClass([1.0])).log_eval(2.0, tol),
+        lambda tol: torsion_from_presentation(quadratic_spec()).value(2.0,
+                                                                      tol),
+        lambda tol: torsion_from_presentation(TorsionSpec(
+            LaurentMatrix([[LaurentPoly.zero(1)]]),
+            CohomClass([1.0]))).value(2.0, tol),
+        lambda tol: degree.convexity_check(degree.det_function(
+            quadratic_spec().matrix, CohomClass([1.0])), [0.5, 1.0, 2.0],
+            tol=tol),
+        lambda tol: mahler_mv_report(LaurentPoly.zero(1), tol),
+        lambda tol: adaptive_circle_mean(lambda x: x, tol),
+    ], ids=["log-eval", "presentation", "zero-presentation", "convexity",
+            "zero-mahler", "quadrature"])
+    def test_tol_must_be_positive_and_finite(self, fn, tol):
+        with pytest.raises(ValueError, match="positive finite"):
+            fn(tol)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, match", [
+        (lambda: quadratic_spec(pairs=[(math.inf, 0.0)]), "finite"),
+        (lambda: ConstantTorsion(0.0), "positive"),
+        (lambda: ProductTorsion([]), "at least one piece"),
+        (lambda: triple_figure_eight((1.0, -1.0)), "triple")],
+        ids=["spec-pair-inf", "constant-zero", "empty-product",
+             "figure-eight-pair"])
+    def test_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestClosedForms:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from l2alex import (CohomClass, DetFunction, LaurentMatrix, LaurentPoly,
                     exponent_bound, twist)
+from l2alex.cli import parse_input
 
 from conftest import random_int_matrix, random_int_poly
 from oracles import involution
@@ -55,6 +55,20 @@ class TestCohomClass:
         with pytest.raises(ValueError, match="must be finite"):
             CohomClass(sigma, r, phi)
 
+    @pytest.mark.parametrize("r, phi, match", [
+        ([1.0], None, "together"),
+        ([1.0], [[2], [2]], "one row per r entry"),
+        ([1.0], [[2, 0]], "length"),
+        ([1.0], [[2.5]], "integers")],
+        ids=["r-without-phi", "phi-row-count", "phi-row-length", "phi-2.5"])
+    def test_malformed_decomposition_refused(self, r, phi, match):
+        # phi 2.5 used to be truncated to 2, which reproduces sigma = 2
+        with pytest.raises(ValueError, match=match):
+            CohomClass([2.0], r=r, phi=phi)
+
+    def test_integral_phi_read_as_integers(self):
+        assert CohomClass([2.0], r=[1.0], phi=[[2.0]]).phi == ((2,),)
+
     def test_r_must_be_positive(self):
         with pytest.raises(ValueError):
             CohomClass([1.0], r=[-1.0], phi=[[-1]])
@@ -66,9 +80,10 @@ class TestCohomClass:
 
     def test_serialization_round_trip(self):
         # a parsed class keeps every bit of floats that need 17 digits
-        c = CohomClass.from_obj(json.loads(
-            '{"sigma": [0.1, 1.4142135623730951],'
-            ' "r": [0.1, 1.4142135623730951], "phi": [[1, 0], [0, 1]]}'))
+        c = parse_input(
+            '{"variables": ["x", "y"], "matrix": [],'
+            ' "class": {"sigma": [0.1, 1.4142135623730951],'
+            ' "r": [0.1, 1.4142135623730951], "phi": [[1, 0], [0, 1]]}}').cohom
         assert c == CohomClass([0.1, math.sqrt(2)], r=[0.1, math.sqrt(2)],
                                phi=[[1, 0], [0, 1]])
 
