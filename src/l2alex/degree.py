@@ -181,23 +181,25 @@ def chief_part(p: LaurentPoly, c: CohomClass):
         w = c.integer_weight(exp) if c.has_decomposition else (c.weight(exp),)
         groups.setdefault(w, {})[exp] = coeff
 
-    keyed = sorted(((_end_weight(c, w), w) for w in groups),
-                   key=lambda kw: (kw[0],) + kw[1])
+    # ordered by (end weight, w): for d <= 1 that is the order of w itself
+    order = sorted(groups) if c.d <= 1 else sorted(
+        groups, key=lambda w: (_end_weight(c, w),) + w)
     faces = []
-    for best, runners in ((keyed[-1], keyed[-2:-1]), (keyed[0], keyed[1:2])):
+    for best, runners in ((order[-1], order[-2:-1]), (order[0], order[1:2])):
+        top = _end_weight(c, best)
         for runner in runners:
             if c.has_decomposition:
-                xs, vectors = c.r, (best[1], runner[1])
+                xs, vectors = c.r, (best, runner)
             else:
-                xs, vectors = c.sigma, (*groups[best[1]], *groups[runner[1]])
+                xs, vectors = c.sigma, (*groups[best], *groups[runner])
             scale = max(dot([abs(x) for x in xs], [abs(n) for n in v])
                         for v in vectors)
-            if abs(best[0] - runner[0]) < _TIE_RTOL * scale:
+            if abs(top - _end_weight(c, runner)) < _TIE_RTOL * scale:
                 raise ChiefPartTieError(
-                    f"weight groups {best[1]} and {runner[1]} tie at "
-                    f"{best[0]!r}: only a decomposition into rationally "
+                    f"weight groups {best} and {runner} tie at "
+                    f"{top!r}: only a decomposition into rationally "
                     f"independent r separates them")
-        faces.append((best[1], LaurentPoly(p.nvars, groups[best[1]])))
+        faces.append((best, LaurentPoly(p.nvars, groups[best])))
     return tuple(faces)
 
 

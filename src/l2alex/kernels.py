@@ -99,10 +99,13 @@ def degree_blocks(slices):
 def companion_roots(block):
     """(k, d) roots of k degree-d polynomials (rows of ascending
     coefficients, d >= 1, nonzero leading ones) from companion-matrix
-    eigenvalues."""
+    eigenvalues; a real block takes float64 matrices (LAPACK's real solver)
+    and may return a real array."""
     k, d = block.shape[0], block.shape[1] - 1
+    if not np.imag(block).any():
+        block = np.real(block)
     monic = block / block[:, -1][:, None]
-    comp = np.zeros((k, d, d), dtype=np.complex128)
+    comp = np.zeros((k, d, d), dtype=monic.dtype)
     comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     comp[:, :, -1] = -monic[:, :-1]
     return np.linalg.eigvals(comp)

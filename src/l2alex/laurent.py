@@ -10,8 +10,8 @@ measures of nonzero integer Laurent polynomials are >= 1).
 
 Conventions:
   * exponent vectors are tuples of ints, and construction refuses a
-    component such as 2.9 (2.0 is 2); componentwise addition is the group
-    law, and the canonical term order is lexicographic on exponent tuples;
+    component such as 2.9, inf or nan (2.0 is 2); componentwise addition is
+    the group law, and the canonical term order is lexicographic on them;
   * no stored coefficient is zero: construction prunes exact zeros on the
     integer path and coefficients below 1e-15 x (max |coefficient|) on the
     float path (numerical determinants shed dust terms); the command
@@ -30,8 +30,9 @@ H = prod_i sum_k ||A_ik||_1 bounds every coefficient of the determinant,
 the matrix becomes one of Python ints; a fraction-free (Bareiss 1968)
 elimination with exact integer division gives the determinant at 2^b, and
 its balanced base-2^b digits are the coefficients (b is a whole number of
-bytes, so one ``to_bytes`` reads them all). Coefficients beyond 2^53 are
-stored as the nearest doubles and lose certification. The packed integers
+bytes, so one ``to_bytes`` reads them all). If all are within 2^53 they are
+canonical already and skip the constructor's checks (``_fill``); otherwise
+the constructor stores them as doubles, uncertified. The packed integers
 hold prod_j w_j digits however few terms the entries have, so a matrix
 whose box prod_j w_j exceeds 64 times the product of its rows' term counts
 (a bound on the determinant's term count), such as one entry z^100000,
@@ -43,7 +44,9 @@ exact on integer matrices while its products stay below 2^53.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import sys
 from typing import Iterable, Mapping
 
@@ -62,6 +65,14 @@ def _is_exact_int(c: complex) -> bool:
         and abs(c.real) <= _INT_EXACT_LIMIT
         and c.real == math.floor(c.real)
     )
+
+
+def _fill(poly, nvars: int, terms: dict, certified: bool):
+    """Sets poly's slots: on ``object.__new__(LaurentPoly)``, a constructor
+    for terms that are canonical already, without ``__init__``'s checks."""
+    for name, value in zip(LaurentPoly.__slots__, (nvars, terms, certified)):
+        object.__setattr__(poly, name, value)
+    return poly
 
 
 def _dot(nvars: int, xs, ys) -> "LaurentPoly":
@@ -85,7 +96,10 @@ class LaurentPoly:
             raise ValueError("variable count must be >= 0")
         clean: dict[tuple, complex] = {}
         for raw, c in terms.items():
-            exp = tuple(map(int, raw))
+            try:
+                exp = tuple(map(int, raw))
+            except (OverflowError, ValueError):     # inf, nan
+                exp = None
             if exp != raw:
                 raise ValueError(f"exponent {raw} is not a vector of integers")
             if len(exp) != nvars:
@@ -115,9 +129,7 @@ class LaurentPoly:
                      if abs(c) >= _FLOAT_PRUNE_REL * scale and c != 0}
             derived = all(_is_exact_int(c) for c in clean.values())
 
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "integer_certified", derived)
+        _fill(self, nvars, clean, derived)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -141,9 +153,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def support(self) -> list[tuple]:
-        return sorted(self.terms)
-
     def spread(self, j: int) -> int:
         """Exponent spread max - min of variable j over the support (0 if empty)."""
         if not self.terms:
@@ -163,7 +172,7 @@ class LaurentPoly:
         if self.is_zero:
             return f"LaurentPoly({self.nvars}, 0)"
         bits = []
-        for exp in self.support():
+        for exp in sorted(self.terms):
             c = self.terms[exp]
             mono = "*".join(f"z{j + 1}^{e}" for j, e in enumerate(exp) if e != 0)
             bits.append(f"({c:g}){'*' + mono if mono else ''}")
@@ -259,11 +268,9 @@ class LaurentMatrix:
         """Symbolic determinant over the Laurent polynomial ring.
 
         Two paths (the module docstring gives the details). An
-        integer-certified matrix is packed into one matrix of Python ints
-        by Kronecker substitution, whose fraction-free (Bareiss) elimination
-        gives the exact coefficients; any beyond 2^53 come back uncertified,
-        as floats. Integer matrices whose exponent box is more than 64 times
-        the product of the rows' term counts are not packed.
+        integer-certified matrix is packed into Python ints by Kronecker
+        substitution, whose Bareiss elimination gives exact coefficients,
+        unless its exponent box is over 64 times its rows' term counts.
 
         Those and all other matrices take Berkowitz's division-free
         algorithm (S. J. Berkowitz, Inf. Process. Lett. 18, 1984) in
@@ -416,29 +423,24 @@ def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:
         exps = [e for p in row for e in p.terms]
         if not exps:
             return LaurentPoly.zero(nvars)
-        low = [min(e[j] for e in exps) for j in range(nvars)]
-        for j in range(nvars):
-            widths[j] += max(e[j] for e in exps) - low[j]
+        cols = list(zip(*exps))
+        low = [min(col) for col in cols]
+        widths = [w + max(col) - lo for w, col, lo in zip(widths, cols, low)]
         lows.append(low)
         height *= sum(abs(int(c.real)) for p in row for c in p.terms.values())
         nterms *= len(exps)
     box = math.prod(widths)
     if box > _SPARSE_BOX_RATIO * nterms:
         return None
-    strides = [1] * nvars
-    for j in range(1, nvars):
-        strides[j] = strides[j - 1] * widths[j - 1]
     # whole bytes per digit, so the digits are read back by one to_bytes
     nbytes = (height.bit_length() + 8) // 8
     b = 8 * nbytes
-
-    def pack(p, low):
-        return sum(int(c.real) << b * sum(s * (x - y) for s, x, y
-                                          in zip(strides, e, low))
-                   for e, c in p.terms.items())
-
-    value = _bareiss([[pack(p, low) for p in row]
-                      for row, low in zip(rows, lows)])
+    # z^e sits sum_j shifts[j] e_j bits up, less its row's base
+    shifts = list(itertools.accumulate(widths[:-1], operator.mul, initial=b))
+    bases = [sum(map(operator.mul, shifts, low)) for low in lows]
+    value = _bareiss([[sum([int(c.real) << sum(map(operator.mul, shifts, e))
+                            - base for e, c in p.terms.items()]) for p in row]
+                      for row, base in zip(rows, bases)])
     # every balanced digit d of value has |d| <= height < 2^(b-1) = half,
     # so adding half to each digit leaves box digits in [0, 2^b), nbytes
     # bytes each, and a digit equal to half is a zero coefficient
@@ -446,13 +448,14 @@ def _det_kronecker(rows, nvars: int) -> LaurentPoly | None:
     half_digit = bytes(nbytes - 1) + b"\x80"
     data = (value + int.from_bytes(half_digit * box, "little")).to_bytes(
         nbytes * box, "little")
-    # digit k is the coefficient of x^k, unpacked by the strides
-    offsets = [sum(low[j] for low in lows) for j in range(nvars)]
-    terms = {}
-    for k in range(box):
-        digit = data[k * nbytes:(k + 1) * nbytes]
-        if digit != half_digit:
-            terms[tuple(k // s % w + o for s, w, o
-                        in zip(strides, widths, offsets))] = \
-                int.from_bytes(digit, "little") - half
-    return LaurentPoly(nvars, terms)
+    # digit k is the coefficient of x^k; exponents run last variable slowest
+    offsets = [sum(col) for col in zip(*lows)]
+    exps = itertools.product(*[range(o, o + w) for o, w
+                               in zip(offsets[::-1], widths[::-1])])
+    digits = [data[k:k + nbytes] for k in range(0, len(data), nbytes)]
+    terms = {e[::-1]: int.from_bytes(digit, "little") - half
+             for e, digit in zip(exps, digits) if digit != half_digit}
+    if max(map(abs, terms.values()), default=0) > _INT_EXACT_LIMIT:
+        return LaurentPoly(nvars, terms)   # rounded and pruned as floats
+    return _fill(object.__new__(LaurentPoly), nvars,
+                 dict(zip(terms, map(complex, terms.values()))), True)

@@ -53,7 +53,8 @@ The reported error is at least the quadrature's rounding floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,11 +79,22 @@ _MAX_DEGREE = 1024
 
 @dataclass(frozen=True)
 class RootData:
-    """Factorization p = leading * z^power * prod (z - roots[i])."""
+    """Factorization p = leading * z^power * prod (z - roots[i]), with the
+    root log-moduli in ascending order and the suffix sums log|leading| +
+    sum_{i >= n} of them (by ``math.fsum``) derived once."""
 
     leading: complex
     power: int
     roots: tuple
+    _log_moduli: list = field(init=False, repr=False, compare=False)
+    _suffix: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        logs = sorted(math.log(abs(b)) for b in self.roots)
+        lead = [math.log(abs(self.leading))]
+        object.__setattr__(self, "_log_moduli", logs)
+        object.__setattr__(self, "_suffix", [
+            math.fsum(lead + logs[n:]) for n in range(len(logs) + 1)])
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,8 @@ def _reconstruction_error(lead, rts, coeffs):
     ws = np.exp(2j * np.pi * (np.arange(2 * d + 3) + 0.39) / (2 * d + 3))
     with np.errstate(all="ignore"):
         scaled = coeffs / scale * radius ** np.arange(-d, 1.0)
-        direct = np.polyval(scaled[::-1], ws)
-        factored = np.full_like(ws, lead / scale)
-        for b in rts / radius:
-            factored *= ws - b
+        direct = np.vander(ws, d + 1, increasing=True) @ scaled
+        factored = lead / scale * np.prod(ws[:, None] - rts / radius, axis=1)
         return float(np.max(np.abs(direct - factored))
                      / np.max(np.abs(direct)))
 
@@ -127,8 +137,7 @@ def _univariate_coeffs(q: LaurentPoly):
         raise ValueError(f"expected a one-variable polynomial, got {q.nvars}")
     if q.is_zero:
         return None
-    exps = sorted(e[0] for e in q.terms)
-    n, top = exps[0], exps[-1]
+    (n,), (top,) = min(q.terms), max(q.terms)
     _check_degree(top - n)
     coeffs = np.zeros(top - n + 1, dtype=np.complex128)
     for (e,), c in q.terms.items():
@@ -174,11 +183,11 @@ def saturating_exp(x: float) -> float:
 
 def log_scaled_mahler_from_roots(rd: RootData, log_c: float) -> float:
     """log M(p(c z)) from log c, so c itself may lie outside the doubles,
-    and so may the exponent of the monomial factor (``twist.dot``)."""
-    out = dot((log_c,), (rd.power,), math.log(abs(rd.leading)))
-    for b in rd.roots:
-        out += max(log_c, math.log(abs(b)))
-    return out
+    and so may the exponent of the monomial factor (``twist.dot``). Of
+    the terms max(log c, log|b_i|), the n roots with log|b_i| <= log c
+    (by bisection) give n log c, and the others a suffix sum."""
+    n = bisect_right(rd._log_moduli, log_c)
+    return dot((log_c,), (rd.power + n,), rd._suffix[n])
 
 
 def _project_support(p: LaurentPoly) -> LaurentPoly:

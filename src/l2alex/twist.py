@@ -80,7 +80,10 @@ class CohomClass:
             raise ValueError("r and phi must be given together")
         if r is not None:
             r = tuple(float(x) for x in r)
-            rows = tuple(tuple(map(int, row)) for row in phi)
+            try:
+                rows = tuple(tuple(map(int, row)) for row in phi)
+            except (OverflowError, ValueError):     # inf, nan
+                rows = None
             if rows != tuple(map(tuple, phi)):
                 raise ValueError(f"phi entries must be integers, got {phi}")
             phi = rows

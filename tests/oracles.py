@@ -3,7 +3,8 @@ paper's claims.
 
 The oracles deliberately avoid the library's own evaluation paths: the
 torus-mean oracles sample log|p| directly (no root finding, no Jensen
-reduction), and the determinant oracle is a plain cofactor recursion. The
+reduction), the closed-form oracle sums Jensen's formula root by root, and
+the determinant oracle is a plain cofactor recursion. The
 involution and the matrix adjoint, which the library does not need, live
 here for the identities that tests check with them. The
 Fox-calculus helpers build presentation matrices from group words, so that
@@ -19,6 +20,7 @@ Thurston norm of the section 9 landscape has the hexagon as its unit ball
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,6 +114,25 @@ def quad_log_mahler_1v(p: LaurentPoly, tol: float = 1e-9) -> float:
 
 def quad_mahler_1v(p: LaurentPoly, tol: float = 1e-9) -> float:
     return math.exp(quad_log_mahler_1v(p, tol))
+
+
+def log_scaled_mahler_terms(leading, power, roots, log_c):
+    """The terms of Jensen's formula for log M(p(c z)), p = leading *
+    z^power * prod (z - b): log|leading|, power log c, and one
+    max(log c, log|b|) per root."""
+    return ([math.log(abs(leading)), power * log_c]
+            + [max(log_c, math.log(abs(b))) for b in roots])
+
+
+def log_scaled_mahler_reference(leading, power, roots, log_c) -> float:
+    """log M(p(c z)) as the per-root sum of ``log_scaled_mahler_terms``,
+    correctly rounded by ``math.fsum``. A sum beyond the double range is
+    +-inf with the sign of the exact sum."""
+    terms = log_scaled_mahler_terms(leading, power, roots, log_c)
+    try:
+        return math.fsum(terms)
+    except OverflowError:     # finite terms, a sum beyond the doubles
+        return math.copysign(math.inf, sum(map(Fraction, terms)))
 
 
 def trapezoid_mahler_2v(p: LaurentPoly, n: int = 1024) -> float:

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from l2alex import (IllConditionedError, InputError, LaurentMatrix,
@@ -78,6 +78,15 @@ class TestPolyBasics:
         with pytest.raises(ValueError) as info:
             P(1, terms)
         assert named in str(info.value)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_exponent_refused(self, x):
+        # int() raised OverflowError for inf, and its own message for nan
+        with pytest.raises(ValueError, match="not a vector of integers") \
+                as info:
+            P(1, {(x,): 1, (0,): -1})
+        assert f"({x},)" in str(info.value)
 
     def test_integral_float_exponent_accepted(self):
         assert P(1, {(2.0,): 1, (0,): -1}) == P(1, {(2,): 1, (0,): -1})
@@ -234,6 +243,46 @@ class TestDeterminant:
         det = LaurentMatrix([[big, zero], [zero, big]]).determinant()
         assert det.terms == {(0,): complex((2 ** 27 + 1) ** 2)}
         assert not det.integer_certified
+
+    def test_coefficient_beyond_the_double_range_ill_conditioned(self):
+        # the 20 x 20 diagonal of 2^53 z has determinant 2^1060 z^20
+        entry = P(1, {(1,): 2 ** 53})
+        zero = LaurentPoly.zero(1)
+        a = LaurentMatrix([[entry if i == j else zero for j in range(20)]
+                           for i in range(20)])
+        with pytest.raises(IllConditionedError):
+            a.determinant()
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_packed_determinant_keeps_the_invariants(self, data):
+        # 1-3 variables, 1x1 to 6x6, sparse or dense, coefficients up to
+        # 3 or up to 2^53 (whose determinants pass 2^53); 3 variables with
+        # 2^53 stop at 4x4, as a dense 6x6 packs into ints of 800,000 bits
+        # and takes seconds
+        nvars = data.draw(st.integers(1, 3))
+        top = data.draw(st.sampled_from([3, 2 ** 53]))
+        size = data.draw(st.integers(1, 4 if nvars == 3 and top > 3 else 6))
+        dense = data.draw(st.booleans())
+        entry = st.dictionaries(
+            st.tuples(*[st.integers(-1, 1)] * nvars),
+            st.integers(-top, top), min_size=int(dense),
+            max_size=3 if dense else 1)
+        rows = [[P(nvars, data.draw(entry)) for _ in range(size)]
+                for _ in range(size)]
+        d = LaurentMatrix(rows, nvars=nvars).determinant()
+        again = LaurentPoly(d.nvars, d.terms)
+        assert again.terms == d.terms
+        assert again.integer_certified == d.integer_certified
+        assert all(type(c) is complex and c != 0 for c in d.terms.values())
+        # Berkowitz in doubles is exact while (2 a)^n <= 2^53, a the
+        # largest row sum of |coefficients|: that bounds every product
+        # and partial sum it forms
+        a = max(sum(abs(c) for p in row for c in p.terms.values())
+                for row in rows)
+        if (2 * max(a, 1)) ** size <= 2 ** 53:
+            assert d == laurent._det_berkowitz(rows, nvars)
 
     def test_no_determinant_divides(self, rng, monkeypatch):
         calls = []

@@ -6,9 +6,11 @@ returns or raises an ``L2AlexError`` subclass or a ``ValueError``, and
 nothing it returns is nan: no float, no coefficient, and none of the fields
 log_measure, achieved_tol, d_plus, d_minus, C_plus and C_minus. Every value
 is drawn from a short list weighted to the extremes: exponents beyond
-int64 and beyond the double range, coefficients near both ends of the
-double range, classes of huge and tiny weight, t and tolerances that are
-zero, negative or not finite, and an index beyond the double range.
+int64 and beyond the double range, infinite and nan exponents (which
+``LaurentPoly`` must refuse with ``ValueError``, ending the example),
+coefficients near both ends of the double range, classes of huge and tiny
+weight, t and tolerances that are zero, negative or not finite, and an
+index beyond the double range.
 """
 
 import cmath
@@ -25,7 +27,8 @@ from l2alex import (CohomClass, L2AlexError, LaurentMatrix, LaurentPoly,
 from l2alex.quadrature import DEFAULT_NODE_BUDGET, NodeBudget
 
 EXPONENTS = st.sampled_from([0, 1, -1, 2, 3, 10 ** 19, -10 ** 19, 2 ** 63,
-                             10 ** 400, -10 ** 400])
+                             10 ** 400, -10 ** 400, math.inf, -math.inf,
+                             math.nan])
 COEFFICIENTS = st.sampled_from([1, -1, 3, 2.5, 1e300, 1e-300, 1 + 1j,
                                 -0.5j])
 SIGMAS = st.sampled_from([0, 1, -2, 1 / 3, math.pi, 1e300, 1e-300])
@@ -40,13 +43,12 @@ def cases(draw):
     nvars = draw(st.integers(1, 2))
     size = draw(st.integers(1, 2))
     term = st.tuples(st.tuples(*[EXPONENTS] * nvars), COEFFICIENTS)
-    entry = st.lists(term, max_size=3).map(
-        lambda terms: LaurentPoly(nvars, dict(terms)))
+    entry = st.lists(term, max_size=3).map(dict)
     rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
                          min_size=size, max_size=size))
     sigma = draw(st.lists(SIGMAS, min_size=nvars, max_size=nvars))
-    return (LaurentMatrix(rows, nvars=nvars), CohomClass(sigma), draw(TS),
-            draw(TOLS), draw(INDICES))
+    return (nvars, rows, CohomClass(sigma), draw(TS), draw(TOLS),
+            draw(INDICES))
 
 
 def _returns(fn, *args):
@@ -83,11 +85,16 @@ def node_cap():
         yield
 
 
-@settings(max_examples=300, derandomize=True, deadline=None,
+@settings(max_examples=600, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=cases())
 def test_library_contract(case):
-    a, c, t, tol, index = case
+    nvars, rows, c, t, tol, index = case
+    entries = [[_returns(LaurentPoly, nvars, terms) for terms in row]
+               for row in rows]
+    if any(p is None for row in entries for p in row):
+        return
+    a = LaurentMatrix(entries, nvars=nvars)
     det = _returns(a.determinant)
     _assert_no_nan(det, _returns(exponent_bound, a, c))
     if det is not None:

@@ -7,10 +7,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from l2alex import (CohomClass, DetFunction, IllConditionedError,
-                    LaurentPoly, QuadratureBudgetError, ZeroPolynomialError,
-                    mahler_mv_report, roots, twist)
+                    LaurentPoly, QuadratureBudgetError, RootData,
+                    ZeroPolynomialError, mahler_mv_report, roots, twist)
 from l2alex import kernels as kernel_mod
 from l2alex import mahler as mahler_mod
 from l2alex.mahler import log_mahler_mv
@@ -18,7 +20,8 @@ from l2alex.quadrature import (ROUNDOFF_FLOOR, NodeBudget,
                                adaptive_circle_mean)
 
 from conftest import random_int_poly
-from oracles import quad_mahler_1v, trapezoid_mahler_2v
+from oracles import (log_scaled_mahler_reference, log_scaled_mahler_terms,
+                     quad_mahler_1v, trapezoid_mahler_2v)
 
 GOLDEN_PLUS = 2.618033988749895    # (3 + sqrt 5) / 2
 GOLDEN_MINUS = 0.3819660112501051  # (3 - sqrt 5) / 2
@@ -99,6 +102,26 @@ class TestRoots:
             warnings.simplefilter("error")
             log_m = mahler_mod.log_scaled_mahler_from_roots(roots(p), 0.0)
         assert log_m == pytest.approx(math.log(1e8), abs=1e-12)
+
+    def test_real_polynomials_take_the_real_eigensolver(self, monkeypatch):
+        # a real companion matrix goes to LAPACK's real solver; a kernel
+        # slice, whose coefficients carry phases, stays complex
+        dtypes = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            dtypes.append(a.dtype)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        roots(LEHMER)
+        assert dtypes == [np.float64]
+        dtypes.clear()
+        coefs = np.array([1.0, -3.0, 1.0, 2.0], dtype=np.complex128)
+        inner = np.array([0, 1, 2, 3])
+        phases = np.linspace(0.1, 2.0, 15)[:, None] * np.array([0, 1, 1, 2])
+        kernel_mod.batch_log_mahler(coefs, inner, phases)
+        assert dtypes and all(d == np.complex128 for d in dtypes)
 
     def test_check_rejects_a_wrong_root(self, monkeypatch):
         # the largest root scaled by 1.5 must fail the check, also where
@@ -208,6 +231,49 @@ class TestScaledMahler:
         # the monomial factor z^2 raises c^2 beyond the double range
         shifted = P(1, {(4,): 1, (3,): -3, (2,): 1})
         assert scaled(shifted, 1e300) == math.inf
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(leading, power, roots, log c): up to 30 roots, as single real roots,
+    conjugate pairs and pairs of equal modulus b, i b; log c equal to some
+    root's log-modulus, near 0, near +-700 or near +-1e300."""
+    roots = []
+    for _ in range(draw(st.integers(0, 15))):
+        r = draw(st.floats(1e-3, 1e3))
+        b = cmath.rect(r, draw(st.floats(0.0, math.pi)))
+        roots += draw(st.sampled_from([
+            [r], [-r], [b, b.conjugate()], [b, complex(-b.imag, b.real)]]))
+    log_moduli = [math.log(abs(b)) for b in roots[:30]]
+    near = [st.floats(-5.0, 5.0), st.floats(690.0, 710.0),
+            st.floats(-710.0, -690.0), st.floats(9e299, 1.1e300),
+            st.floats(-1.1e300, -9e299)]
+    if log_moduli:
+        near.append(st.sampled_from(log_moduli))
+    leading = draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                      allow_nan=False, allow_infinity=False))
+    return (leading, draw(st.integers(-10 ** 19, 10 ** 19)), roots[:30],
+            draw(st.one_of(near)))
+
+
+class TestClosedFormOracle:
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=closed_form_cases())
+    def test_matches_the_per_root_sum(self, case):
+        # the bisection over sorted log-moduli against Jensen's formula
+        # summed root by root: each side rounds a few times at the scale of
+        # its partial sums, which sum |term| bounds
+        leading, power, rts, log_c = case
+        got = mahler_mod.log_scaled_mahler_from_roots(
+            RootData(leading, power, tuple(rts)), log_c)
+        want = log_scaled_mahler_reference(leading, power, rts, log_c)
+        if math.isinf(want):
+            assert got == want
+        else:
+            scale = math.fsum(map(abs, log_scaled_mahler_terms(
+                leading, power, rts, log_c)))
+            assert abs(got - want) <= 8 * math.ulp(scale), (got, want)
 
 
 class TestMonomialProfile:

@@ -66,6 +66,13 @@ class TestCohomClass:
         with pytest.raises(ValueError, match=match):
             CohomClass([2.0], r=r, phi=phi)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_phi_refused(self, x):
+        # int() raised OverflowError for inf, and its own message for nan
+        with pytest.raises(ValueError, match="phi entries must be integers"):
+            CohomClass([1.0], r=[1.0], phi=[[x]])
+
     def test_integral_phi_read_as_integers(self):
         assert CohomClass([2.0], r=[1.0], phi=[[2.0]]).phi == ((2,),)
 
